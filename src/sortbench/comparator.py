@@ -4,13 +4,20 @@ A comparator is a callable ``cmp(a, b)`` returning a negative int when ``a``
 precedes ``b``, zero when their keys are equal, and a positive int when ``a``
 succeeds ``b``.  It must implement a strict weak ordering and be deterministic
 within a run; the library documents but does not detect violations.
+
+The public API takes three-way comparators; internally every module compares
+through a less-than predicate built once per call by :func:`as_less`.  The
+default comparator becomes ``operator.lt`` (the elements' native ``<``), and
+any other comparator is still called exactly once per comparison.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Callable
 
 Comparator = Callable[[Any, Any], int]
+Less = Callable[[Any, Any], bool]
 
 
 def default_compare(a: Any, b: Any) -> int:
@@ -20,3 +27,14 @@ def default_compare(a: Any, b: Any) -> int:
     if b < a:
         return 1
     return 0
+
+
+def as_less(compare: Comparator) -> Less:
+    """Return the strict "precedes" predicate of ``compare``.
+
+    ``as_less(compare)(a, b)`` is ``compare(a, b) < 0``, computed with one
+    call of ``compare``; for :func:`default_compare` it is ``operator.lt``.
+    """
+    if compare is default_compare:
+        return operator.lt
+    return lambda a, b: compare(a, b) < 0

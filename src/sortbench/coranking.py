@@ -15,13 +15,21 @@ The search converges in a binary-search fashion, maintaining ``j + k == i``
 throughout, and costs at most ``2 * (ceil(log2(nA + nB + 1)) + 2)`` comparator
 calls.  Range checks short-circuit ahead of every comparison, so the
 comparator is never invoked with an out-of-range index.
+
+Both tests of the search ask one kind of question, "does ``B[i-t-1]``
+strictly precede ``A[t]``?", through the less-than predicate of
+:func:`as_less`.  The test that lowers ``j`` from ``t + 1`` and the test that
+raises it from ``t`` ask it of the same pair, so they cannot both fire.  Even
+a deterministic comparator that is not an ordering therefore cannot send the
+search back and forth forever: it terminates within the budget above and
+returns ``j + k == i`` in range, though the split then has no meaning.
 """
 
 from __future__ import annotations
 
 from typing import Any, Sequence
 
-from .comparator import Comparator, default_compare
+from .comparator import Comparator, Less, as_less, default_compare
 
 
 def co_rank(
@@ -39,7 +47,7 @@ def co_rank(
     nb = len(second)
     if not 0 <= rank <= na + nb:
         raise ValueError(f"rank {rank} not in [0, {na + nb}]")
-    return _co_rank_spans(rank, first, 0, na, second, 0, nb, compare)
+    return _co_rank_spans(rank, first, 0, na, second, 0, nb, as_less(compare))
 
 
 def _co_rank_spans(
@@ -50,7 +58,7 @@ def _co_rank_spans(
     b: Sequence[Any],
     b_lo: int,
     nb: int,
-    compare: Comparator,
+    less: Less,
 ) -> tuple[int, int]:
     # Search over a[a_lo:a_lo+na] and b[b_lo:b_lo+nb]; indices j, k are
     # relative to the span starts. Callers guarantee 0 <= i <= na + nb.
@@ -59,13 +67,13 @@ def _co_rank_spans(
     j_low = i - nb if i > nb else 0
     k_low = i - na if i > na else 0
     while True:
-        if j > 0 and k < nb and compare(a[a_lo + j - 1], b[b_lo + k]) > 0:
+        if j > 0 and k < nb and less(b[b_lo + k], a[a_lo + j - 1]):
             # too many taken from a: give half the slack back
             delta = (j - j_low + 1) >> 1
             k_low = k
             j -= delta
             k += delta
-        elif k > 0 and j < na and compare(b[b_lo + k - 1], a[a_lo + j]) >= 0:
+        elif k > 0 and j < na and not less(b[b_lo + k - 1], a[a_lo + j]):
             # too many taken from b (ties must come from a first)
             delta = (k - k_low + 1) >> 1
             j_low = j
@@ -90,9 +98,10 @@ def select_merged(
     nb = len(second)
     if not 0 <= rank < na + nb:
         raise ValueError(f"rank {rank} not in [0, {na + nb})")
-    j, k = _co_rank_spans(rank, first, 0, na, second, 0, nb, compare)
+    less = as_less(compare)
+    j, k = _co_rank_spans(rank, first, 0, na, second, 0, nb, less)
     if j < na and k < nb:
-        return first[j] if compare(first[j], second[k]) <= 0 else second[k]
+        return second[k] if less(second[k], first[j]) else first[j]
     return first[j] if j < na else second[k]
 
 

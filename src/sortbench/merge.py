@@ -7,14 +7,17 @@ Two strategies with identical (stable) output:
   ``n - 1`` comparisons.
 
 * :func:`merge_inplace` needs no scratch buffer.  It co-ranks the middle
-  rank ``i = n1``, rotates the middle block so that everything preceding
-  rank ``i`` sits left of it, and recurses on the two independent halves.
-  Comparisons stay O(n); element moves make it O(n log n) time.  Recursing
-  into the smaller half and iterating on the larger keeps the stack depth
-  (and hence extra space) logarithmic even for adversarially skewed splits.
+  rank ``i = n1``, exchanges the two halves of the middle block so that
+  everything preceding rank ``i`` sits left of it, and recurses on the two
+  independent halves.  Comparisons stay O(n); element moves make it
+  O(n log n) time.  Recursing into the smaller half and iterating on the
+  larger keeps the stack depth (and hence extra space) logarithmic even for
+  adversarially skewed splits.
 
-The middle block always has even length 2k and is rotated by k, so rotating
-it left or right is the same permutation; we always rotate left.
+The middle block always has even length 2k and must be rotated by k: a
+block exchange of its two halves, which :func:`rotation._swap_halves` does
+directly with 2k writes.  Both merges compare through the less-than
+predicate of :func:`comparator.as_less`, built once per public call.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from __future__ import annotations
 import time
 from typing import Any, MutableSequence
 
-from .comparator import Comparator, default_compare
+from .comparator import Comparator, Less, as_less, default_compare
 from .coranking import _co_rank_spans
-from .rotation import _rotate
+from .rotation import _swap_halves
 
 
 class MergeDepthGauge:
@@ -73,6 +76,17 @@ def merge_buffered(
     keys keep first-run elements ahead of second-run elements.
     """
     _check_runs(seq, n1, n2, start)
+    _merge_buffered(seq, start, n1, n2, as_less(compare), scratch)
+
+
+def _merge_buffered(
+    seq: MutableSequence[Any],
+    start: int,
+    n1: int,
+    n2: int,
+    less: Less,
+    scratch: list[Any] | None,
+) -> None:
     if n1 == 0 or n2 == 0:
         return
     n = n1 + n2
@@ -84,7 +98,7 @@ def merge_buffered(
     end2 = start + n
     t = 0
     while p < end1 and q < end2:
-        if compare(seq[q], seq[p]) < 0:
+        if less(seq[q], seq[p]):
             scratch[t] = seq[q]
             q += 1
         else:
@@ -118,7 +132,7 @@ def merge_inplace(
     ``phases`` accumulates co-ranking vs rotation wall time.
     """
     _check_runs(seq, n1, n2, start)
-    _merge_inplace(seq, start, n1, n2, compare, gauge, phases)
+    _merge_inplace(seq, start, n1, n2, as_less(compare), gauge, phases)
 
 
 def _merge_inplace(
@@ -126,7 +140,7 @@ def _merge_inplace(
     lo: int,
     n1: int,
     n2: int,
-    compare: Comparator,
+    less: Less,
     gauge: MergeDepthGauge | None,
     phases: PhaseTimes | None,
 ) -> None:
@@ -139,28 +153,28 @@ def _merge_inplace(
         i = n1
         mid = lo + n1
         if phases is None:
-            j, k = _co_rank_spans(i, a, lo, n1, a, mid, n2, compare)
+            j, k = _co_rank_spans(i, a, lo, n1, a, mid, n2, less)
         else:
             t0 = time.perf_counter()
-            j, k = _co_rank_spans(i, a, lo, n1, a, mid, n2, compare)
+            j, k = _co_rank_spans(i, a, lo, n1, a, mid, n2, less)
             phases.corank_seconds += time.perf_counter() - t0
         if k == 0:
             # runs already in order at this node: both halves are base cases
             break
-        # middle block a[lo+j : lo+j+2k], offset n1 - j == k
+        # middle block a[lo+j : lo+j+2k], offset n1 - j == k: swap its halves
         if phases is None:
-            _rotate(a, k, lo + j, 2 * k)
+            _swap_halves(a, lo + j, k)
         else:
             t0 = time.perf_counter()
-            _rotate(a, k, lo + j, 2 * k)
+            _swap_halves(a, lo + j, k)
             phases.rotation_seconds += time.perf_counter() - t0
         # halves are independent: recurse into the smaller, loop on the larger
         if n1 <= n2:
-            _merge_inplace(a, lo, j, n1 - j, compare, gauge, phases)
+            _merge_inplace(a, lo, j, n1 - j, less, gauge, phases)
             lo = mid
             n1, n2 = k, n2 - k
         else:
-            _merge_inplace(a, mid, k, n2 - k, compare, gauge, phases)
+            _merge_inplace(a, mid, k, n2 - k, less, gauge, phases)
             n1, n2 = j, n1 - j
     if gauge is not None:
         gauge.current -= 1

@@ -1,4 +1,4 @@
-"""In-place sequence rotation by cycle-following.
+"""In-place sequence rotation by cycle-following, and block exchange.
 
 Rotating left by ``r`` moves the element at index ``(s + r) mod n`` to index
 ``s``.  The rotation walks the permutation cycles directly, so every element
@@ -6,6 +6,14 @@ is written exactly once (n writes total) and the only extra storage is one
 temporary slot per cycle.  No gcd is computed: a cycle is detected by the
 index returning to its starting position, and a remaining-work counter tells
 the outer loop when all cycles are done.
+
+Rotating a span of even length by half of it is a block exchange (Gries &
+Mills, "Swapping sections", 1981): its cycles all have length 2, so
+:func:`_swap_halves` swaps the two halves element by element instead, still
+with exactly n writes and no allocation.  This is the only rotation the
+in-place merge asks for.  The swap indexes one element at a time, never
+slices, so it works on every mutable sequence (a ``deque`` has no slice
+assignment, and a numpy slice is a view).
 
 Rotation never compares elements; it only moves them.
 """
@@ -72,9 +80,22 @@ def rotate_right(
     _rotate(seq, (n - offset) % n, start, n)
 
 
+def _swap_halves(a: MutableSequence[Any], lo: int, k: int) -> None:
+    # Exchange a[lo:lo+k] with a[lo+k:lo+2k]: 2k writes, no allocation.
+    # Callers guarantee k >= 1 and valid bounds.
+    if k == 1:
+        a[lo], a[lo + 1] = a[lo + 1], a[lo]
+        return
+    for x in range(lo, lo + k):
+        a[x], a[x + k] = a[x + k], a[x]
+
+
 def _rotate(a: MutableSequence[Any], r: int, lo: int, n: int) -> None:
     # Core juggling loop. Callers guarantee 0 <= r < n and valid bounds.
     if r == 0:
+        return
+    if 2 * r == n:
+        _swap_halves(a, lo, r)
         return
     hi = lo + n
     work = n  # elements still to move

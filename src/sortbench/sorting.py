@@ -21,9 +21,9 @@ import time
 from enum import Enum
 from typing import Any, MutableSequence, Sequence
 
-from .comparator import Comparator, default_compare
+from .comparator import Comparator, Less, as_less, default_compare
 from .instrumentation import SortStats, counting_comparator
-from .merge import MergeDepthGauge, PhaseTimes, merge_buffered, _merge_inplace
+from .merge import MergeDepthGauge, PhaseTimes, _merge_buffered, _merge_inplace
 
 
 class MergeStrategy(Enum):
@@ -48,18 +48,18 @@ def mergesort(
     """
     n = len(seq)
     gauge: MergeDepthGauge | None = None
-    cmp = compare
     if stats is not None:
-        cmp = counting_comparator(compare, stats)
+        compare = counting_comparator(compare, stats)
         if strategy is MergeStrategy.INPLACE:
             gauge = MergeDepthGauge()
+    less = as_less(compare)
     moves_before = getattr(seq, "move_count", 0)
     t0 = time.perf_counter()
     if strategy is MergeStrategy.BUFFERED:
         scratch = None if per_merge_scratch else [None] * n
-        _sort_buffered(seq, 0, n, cmp, scratch)
+        _sort_buffered(seq, 0, n, less, scratch)
     else:
-        _sort_inplace(seq, 0, n, cmp, gauge, phases)
+        _sort_inplace(seq, 0, n, less, gauge, phases)
     elapsed = time.perf_counter() - t0
     if stats is not None:
         stats.wall_seconds = elapsed
@@ -71,29 +71,29 @@ def _sort_inplace(
     a: MutableSequence[Any],
     lo: int,
     n: int,
-    compare: Comparator,
+    less: Less,
     gauge: MergeDepthGauge | None,
     phases: PhaseTimes | None,
 ) -> None:
     if n > 1:
         mid = n >> 1
-        _sort_inplace(a, lo, mid, compare, gauge, phases)
-        _sort_inplace(a, lo + mid, n - mid, compare, gauge, phases)
-        _merge_inplace(a, lo, mid, n - mid, compare, gauge, phases)
+        _sort_inplace(a, lo, mid, less, gauge, phases)
+        _sort_inplace(a, lo + mid, n - mid, less, gauge, phases)
+        _merge_inplace(a, lo, mid, n - mid, less, gauge, phases)
 
 
 def _sort_buffered(
     a: MutableSequence[Any],
     lo: int,
     n: int,
-    compare: Comparator,
+    less: Less,
     scratch: list[Any] | None,
 ) -> None:
     if n > 1:
         mid = n >> 1
-        _sort_buffered(a, lo, mid, compare, scratch)
-        _sort_buffered(a, lo + mid, n - mid, compare, scratch)
-        merge_buffered(a, mid, n - mid, compare, start=lo, scratch=scratch)
+        _sort_buffered(a, lo, mid, less, scratch)
+        _sort_buffered(a, lo + mid, n - mid, less, scratch)
+        _merge_buffered(a, lo, mid, n - mid, less, scratch)
 
 
 def insertion_sorted(

@@ -93,3 +93,27 @@ def tagged_runs(
     keys1 = sorted_random_run(rng, n1, universe)
     keys2 = sorted_random_run(rng, n2, universe)
     return [TaggedElement(k, i) for i, k in enumerate(keys1 + keys2)]
+
+
+class CallCapExceeded(Exception):
+    """Raised by TableComparator once it has been called more than its cap."""
+
+
+class TableComparator:
+    """Deterministic three-way comparator over the ids ``0 .. n-1`` that is
+    not an ordering: each ordered pair ``(x, y)`` gets its own seeded answer
+    in {-1, 0, 1}, independent of ``(y, x)``.  Counts its calls and raises
+    CallCapExceeded past ``cap``, so a search that would loop forever fails
+    instead of hanging."""
+
+    def __init__(self, n: int, seed: int, cap: int) -> None:
+        self.n = n
+        self.table = random.Random(seed).choices((-1, 0, 1), k=n * n)
+        self.cap = cap
+        self.calls = 0
+
+    def __call__(self, x: int, y: int) -> int:
+        self.calls += 1
+        if self.calls > self.cap:
+            raise CallCapExceeded(f"more than {self.cap} comparator calls")
+        return self.table[x * self.n + y]

@@ -8,7 +8,7 @@ from sortbench.comparator import default_compare
 from sortbench.coranking import co_rank, co_rank_by_merge, select_merged
 from sortbench.instrumentation import SortStats, counting_comparator
 
-from helpers import stable_merge_oracle
+from helpers import TableComparator, stable_merge_oracle
 
 
 def split_conditions_hold(j, k, a, b, compare=default_compare):
@@ -142,3 +142,37 @@ sorted_keys = st.lists(st.integers(min_value=0, max_value=5), max_size=24).map(s
 def test_matches_merge_oracle(a, b, data):
     i = data.draw(st.integers(min_value=0, max_value=len(a) + len(b)))
     assert co_rank(i, a, b) == co_rank_by_merge(i, a, b)
+
+
+def test_contradictory_pair_terminates():
+    # cmp says x succeeds y, yet y equals x: a search that asked this pair in
+    # both orders would get contradicting answers and never settle the split
+    answers = {("x", "y"): 1, ("y", "x"): 0}
+    calls = []
+
+    def compare(p, q):
+        calls.append((p, q))
+        if len(calls) > 8:
+            raise RuntimeError("co_rank does not terminate")
+        return answers[p, q]
+
+    j, k = co_rank(1, ["x"], ["y"], compare)
+    assert j + k == 1
+    assert len(calls) <= 2 * (math.ceil(math.log2(3)) + 2)
+
+
+@given(
+    st.integers(min_value=0, max_value=48),
+    st.integers(min_value=0, max_value=48),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.data(),
+)
+def test_terminates_within_budget_for_any_comparator(na, nb, seed, data):
+    # a deterministic comparator that is not an ordering still gets an
+    # in-range split within the documented comparison budget
+    i = data.draw(st.integers(min_value=0, max_value=na + nb))
+    budget = 2 * (math.ceil(math.log2(na + nb + 1)) + 2)
+    compare = TableComparator(na + nb, seed, cap=budget)
+    j, k = co_rank(i, list(range(na)), list(range(na, na + nb)), compare)
+    assert j + k == i
+    assert 0 <= j <= na and 0 <= k <= nb

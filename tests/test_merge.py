@@ -101,21 +101,25 @@ def test_buffered_accepts_preallocated_scratch():
 
 
 def test_middle_block_even_and_rotated_by_half(monkeypatch):
+    # every middle block a[lo:lo+2k] is rotated by k: an exchange of its halves
     calls = []
-    real = merge_mod._rotate
+    real = merge_mod._swap_halves
 
-    def recording(a, r, lo, n):
-        calls.append((r, n))
-        real(a, r, lo, n)
+    def recording(a, lo, k):
+        calls.append((lo, k))
+        real(a, lo, k)
 
-    monkeypatch.setattr(merge_mod, "_rotate", recording)
+    monkeypatch.setattr(merge_mod, "_swap_halves", recording)
     rng = random.Random(37)
-    base = sorted_random_run(rng, 300, 6) + sorted_random_run(rng, 200, 6)
-    merge_inplace(base, 300, 200)
+    start = 7
+    runs = sorted_random_run(rng, 300, 6) + sorted_random_run(rng, 200, 6)
+    base = [-1.0] * start + runs
+    merge_inplace(base, 300, 200, start=start)
     assert calls
-    for r, n in calls:
-        assert n == 2 * r
-        assert n % 2 == 0
+    for lo, k in calls:
+        assert k >= 1
+        assert start <= lo and lo + 2 * k <= start + 500
+    assert base == [-1.0] * start + sorted(runs)
 
 
 def test_depth_gauge_stays_logarithmic():

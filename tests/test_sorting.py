@@ -1,12 +1,17 @@
+import array
+import collections
 import itertools
 import math
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 import sortbench.sorting as sorting_mod
 from sortbench.comparator import default_compare
+from sortbench.datagen import Distribution, generate
 from sortbench.instrumentation import (
+    MoveCountingList,
     SortStats,
     TaggedElement,
     key_comparator,
@@ -14,7 +19,7 @@ from sortbench.instrumentation import (
 )
 from sortbench.sorting import MergeStrategy, insertion_sorted, mergesort
 
-from helpers import stable_merge_oracle
+from helpers import TableComparator, stable_merge_oracle
 
 
 def sort_copy(values, strategy, compare=default_compare, stats=None):
@@ -138,3 +143,56 @@ def test_sorts_are_stable_permutations(keys, use_inplace):
     strategy = MergeStrategy.INPLACE if use_inplace else MergeStrategy.BUFFERED
     result = sort_copy(tagged, strategy, key_comparator())
     assert verify_stable_permutation(tagged, result)
+
+
+@pytest.mark.parametrize(
+    "dist, comparisons, moves, max_depth",
+    [
+        ("uniform", 193880, 343972, 12),
+        ("reversed", 24560, 106496, 2),
+        ("fewdistinct", 114751, 248178, 7),
+        ("sawtooth", 24571, 49152, 2),
+    ],
+)
+def test_inplace_counted_work_is_pinned(dist, comparisons, moves, max_depth):
+    # exact counts of the in-place sort; any change to them changes the
+    # algorithm's counted work, not just its speed
+    arr = MoveCountingList(generate(8192, Distribution(dist), 99))
+    stats = SortStats()
+    mergesort(arr, stats=stats)
+    assert (stats.comparisons, stats.moves, stats.max_merge_depth) == (
+        comparisons,
+        moves,
+        max_depth,
+    )
+
+
+@given(
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(list(MergeStrategy)),
+)
+def test_sort_terminates_for_any_comparator(n, seed, strategy):
+    # a deterministic comparator that is not an ordering: no sorted order to
+    # reach, but the sort must still end and leave a permutation
+    compare = TableComparator(n, seed, cap=100_000)
+    a = list(range(n))
+    mergesort(a, compare, strategy)
+    assert sorted(a) == list(range(n))
+
+
+def test_sorts_any_mutable_sequence():
+    # item access only: no slice assignment, and no slices that alias
+    rng = random.Random(53)
+    values = [rng.random() for _ in range(300)]
+    for seq in (collections.deque(values), array.array("d", values)):
+        mergesort(seq)
+        assert list(seq) == sorted(values), type(seq)
+
+
+def test_sorts_numpy_array():
+    np = pytest.importorskip("numpy")
+    values = np.random.default_rng(59).random(300)
+    seq = values.copy()
+    mergesort(seq)
+    assert seq.tolist() == sorted(values.tolist())
