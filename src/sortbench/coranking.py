@@ -47,33 +47,28 @@ def co_rank(
     nb = len(second)
     if not 0 <= rank <= na + nb:
         raise ValueError(f"rank {rank} not in [0, {na + nb}]")
-    return _co_rank_spans(rank, first, 0, na, second, 0, nb, as_less(compare))
+    return _co_rank(rank, first, na, second, nb, as_less(compare))
 
 
-def _co_rank_spans(
-    i: int,
-    a: Sequence[Any],
-    a_lo: int,
-    na: int,
-    b: Sequence[Any],
-    b_lo: int,
-    nb: int,
-    less: Less,
+def _co_rank(
+    i: int, a: Sequence[Any], na: int, b: Sequence[Any], nb: int, less: Less
 ) -> tuple[int, int]:
-    # Search over a[a_lo:a_lo+na] and b[b_lo:b_lo+nb]; indices j, k are
-    # relative to the span starts. Callers guarantee 0 <= i <= na + nb.
+    # Callers pass na = len(a), nb = len(b) (the ints they already hold: a
+    # second len() of a long run allocates two more) and guarantee
+    # 0 <= i <= na + nb.  merge._merge_inplace runs this search inline for
+    # i = na; keep the two copies alike.
     j = i if i < na else na
     k = i - j
     j_low = i - nb if i > nb else 0
     k_low = i - na if i > na else 0
     while True:
-        if j > 0 and k < nb and less(b[b_lo + k], a[a_lo + j - 1]):
+        if j > 0 and k < nb and less(b[k], a[j - 1]):
             # too many taken from a: give half the slack back
             delta = (j - j_low + 1) >> 1
             k_low = k
             j -= delta
             k += delta
-        elif k > 0 and j < na and not less(b[b_lo + k - 1], a[a_lo + j]):
+        elif k > 0 and j < na and not less(b[k - 1], a[j]):
             # too many taken from b (ties must come from a first)
             delta = (k - k_low + 1) >> 1
             j_low = j
@@ -99,7 +94,7 @@ def select_merged(
     if not 0 <= rank < na + nb:
         raise ValueError(f"rank {rank} not in [0, {na + nb})")
     less = as_less(compare)
-    j, k = _co_rank_spans(rank, first, 0, na, second, 0, nb, less)
+    j, k = _co_rank(rank, first, na, second, nb, less)
     if j < na and k < nb:
         return second[k] if less(second[k], first[j]) else first[j]
     return first[j] if j < na else second[k]

@@ -58,7 +58,7 @@ def mergesort(
     if strategy is MergeStrategy.BUFFERED:
         scratch = None if per_merge_scratch else [None] * n
         _sort_buffered(seq, 0, n, less, scratch)
-    else:
+    elif n > 1:
         _sort_inplace(seq, 0, n, less, gauge, phases)
     elapsed = time.perf_counter() - t0
     if stats is not None:
@@ -75,11 +75,13 @@ def _sort_inplace(
     gauge: MergeDepthGauge | None,
     phases: PhaseTimes | None,
 ) -> None:
-    if n > 1:
-        mid = n >> 1
+    # callers guarantee n > 1, so both halves are nonempty
+    mid = n >> 1
+    if mid > 1:
         _sort_inplace(a, lo, mid, less, gauge, phases)
+    if n - mid > 1:
         _sort_inplace(a, lo + mid, n - mid, less, gauge, phases)
-        _merge_inplace(a, lo, mid, n - mid, less, gauge, phases)
+    _merge_inplace(a, lo, mid, n - mid, less, gauge, phases)
 
 
 def _sort_buffered(

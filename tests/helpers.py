@@ -10,7 +10,9 @@ import random
 from typing import Any, Sequence
 
 from sortbench.comparator import Comparator, default_compare
+from sortbench.coranking import co_rank
 from sortbench.instrumentation import TaggedElement
+from sortbench.rotation import rotate_left
 
 
 def stable_merge_oracle(
@@ -117,3 +119,27 @@ class TableComparator:
         if self.calls > self.cap:
             raise CallCapExceeded(f"more than {self.cap} comparator calls")
         return self.table[x * self.n + y]
+
+
+def reference_merge_inplace(
+    seq: list[Any], lo: int, n1: int, n2: int, compare: Comparator
+) -> None:
+    """The in-place merge rebuilt from the public layers: co-rank ``i = n1``
+    with ``co_rank`` on copies of the two runs, rotate the middle block with
+    ``rotate_left`` on a copy, recurse into the smaller side and loop on the
+    larger.  Its comparator calls are the ones the merge must make."""
+    while n1 > 0 and n2 > 0:
+        mid = lo + n1
+        j, k = co_rank(n1, seq[lo:mid], seq[mid : mid + n2], compare)
+        if k == 0:
+            return
+        block = seq[lo + j : mid + k]
+        rotate_left(block, k)
+        seq[lo + j : mid + k] = block
+        if n1 <= n2:
+            reference_merge_inplace(seq, lo, j, n1 - j, compare)
+            lo = mid
+            n1, n2 = k, n2 - k
+        else:
+            reference_merge_inplace(seq, mid, k, n2 - k, compare)
+            n1, n2 = j, n1 - j

@@ -5,7 +5,6 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-import sortbench.merge as merge_mod
 from sortbench.comparator import default_compare
 from sortbench.instrumentation import SortStats, counting_comparator
 from sortbench.merge import (
@@ -16,7 +15,12 @@ from sortbench.merge import (
     merge_inplace,
 )
 
-from helpers import sorted_random_run, stable_merge_oracle
+from helpers import (
+    RecordingList,
+    reference_merge_inplace,
+    sorted_random_run,
+    stable_merge_oracle,
+)
 
 KEY = lambda x, y: default_compare(x[0], y[0])
 
@@ -100,26 +104,29 @@ def test_buffered_accepts_preallocated_scratch():
     assert got == expected
 
 
-def test_middle_block_even_and_rotated_by_half(monkeypatch):
-    # every middle block a[lo:lo+2k] is rotated by k: an exchange of its halves
-    calls = []
-    real = merge_mod._swap_halves
-
-    def recording(a, lo, k):
-        calls.append((lo, k))
-        real(a, lo, k)
-
-    monkeypatch.setattr(merge_mod, "_swap_halves", recording)
+def test_middle_block_even_and_rotated_by_half():
+    # every middle block a[x:x+2k] is rotated by k, an exchange of its halves,
+    # whether the merge swaps one pair itself or calls _swap_halves: the
+    # writes are k pairs (x+t, x+t+k), t = 0..k-1, one block after another
     rng = random.Random(37)
     start = 7
     runs = sorted_random_run(rng, 300, 6) + sorted_random_run(rng, 200, 6)
-    base = [-1.0] * start + runs
+    base = RecordingList([-1.0] * start + runs)
     merge_inplace(base, 300, 200, start=start)
-    assert calls
-    for lo, k in calls:
-        assert k >= 1
-        assert start <= lo and lo + 2 * k <= start + 500
-    assert base == [-1.0] * start + sorted(runs)
+    writes = base.writes
+    assert writes and len(writes) % 2 == 0
+    blocks = 0
+    p = 0
+    while p < len(writes):
+        x, k = writes[p], writes[p + 1] - writes[p]
+        assert k >= 1, writes[p : p + 2]
+        assert start <= x and x + 2 * k <= start + 500
+        expected = [i for t in range(k) for i in (x + t, x + t + k)]
+        assert writes[p : p + 2 * k] == expected
+        p += 2 * k
+        blocks += 1
+    assert blocks > 1
+    assert list(base) == [-1.0] * start + sorted(runs)
 
 
 def test_depth_gauge_stays_logarithmic():
@@ -183,3 +190,27 @@ def test_inplace_equals_buffered(run1, run2):
     tagged = [(k, t) for t, k in enumerate(run1 + run2)]
     buffered, inplace = both_merges(tagged, len(run1), len(run2), KEY)
     assert inplace == buffered
+
+
+dup_runs = st.lists(st.integers(min_value=0, max_value=4), max_size=40).map(sorted)
+
+
+@given(dup_runs, dup_runs, st.integers(min_value=0, max_value=3))
+def test_inplace_asks_the_comparisons_of_co_rank_and_rotate(run1, run2, start):
+    # the merge runs the co-rank search inline; it must ask the same pairs,
+    # in the same order, as the public co_rank on the same slices
+    def logged(log):
+        def compare(x, y):
+            log.append((x[1], y[1]))
+            return default_compare(x[0], y[0])
+
+        return compare
+
+    prefix = [(-1, -1 - t) for t in range(start)]
+    tagged = prefix + [(k, t) for t, k in enumerate(run1 + run2)]
+    got, want = list(tagged), list(tagged)
+    got_log, want_log = [], []
+    merge_inplace(got, len(run1), len(run2), logged(got_log), start)
+    reference_merge_inplace(want, start, len(run1), len(run2), logged(want_log))
+    assert got_log == want_log
+    assert got == want

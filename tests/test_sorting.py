@@ -196,3 +196,41 @@ def test_sorts_numpy_array():
     seq = values.copy()
     mergesort(seq)
     assert seq.tolist() == sorted(values.tolist())
+
+
+def test_buffered_rejects_sequence_without_slice_assignment():
+    rng = random.Random(61)
+    values = [rng.random() for _ in range(50)]
+    for seq in (collections.deque(values), array.array("d", values)):
+        with pytest.raises(TypeError, match="slice assignment.*INPLACE"):
+            mergesort(seq, strategy=MergeStrategy.BUFFERED)
+        assert sorted(seq) == sorted(values), type(seq)
+
+
+class ComparatorFailed(Exception):
+    pass
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=5), min_size=2, max_size=48),
+    st.sampled_from(list(MergeStrategy)),
+    st.data(),
+)
+def test_raising_comparator_propagates_and_leaves_permutation(keys, strategy, data):
+    # the comparator raises on its N-th call, for any N the sort reaches
+    counted = SortStats()
+    sort_copy(keys, strategy, stats=counted)
+    fail_at = data.draw(st.integers(min_value=1, max_value=counted.comparisons))
+    calls = 0
+
+    def compare(x, y):
+        nonlocal calls
+        calls += 1
+        if calls == fail_at:
+            raise ComparatorFailed(calls)
+        return default_compare(x, y)
+
+    a = list(keys)
+    with pytest.raises(ComparatorFailed):
+        mergesort(a, compare, strategy)
+    assert sorted(a) == sorted(keys)
