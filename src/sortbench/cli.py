@@ -18,6 +18,9 @@ import json
 import sys
 
 from .bench import (
+    ALGORITHMS,
+    FORMATS,
+    MODELS,
     BenchConfig,
     VerificationError,
     emit_report,
@@ -26,7 +29,7 @@ from .bench import (
     parse_report,
     run_benchmark,
 )
-from .datagen import Distribution
+from .datagen import KINDS, Distribution
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -35,14 +38,8 @@ EXIT_RESOURCE = 3
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--algo", choices=("inplace", "buffered", "system"), default="inplace"
-    )
-    parser.add_argument(
-        "--dist",
-        choices=("uniform", "sorted", "reversed", "sawtooth", "fewdistinct"),
-        default="uniform",
-    )
+    parser.add_argument("--algo", choices=ALGORITHMS, default="inplace")
+    parser.add_argument("--dist", choices=KINDS, default="uniform")
     parser.add_argument("--period", type=int, default=2, help="sawtooth ramp length")
     parser.add_argument(
         "--universe", type=int, default=16, help="fewdistinct key count"
@@ -65,7 +62,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="reuse the base seed for every rep instead of seed^rep",
     )
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--format", choices=FORMATS, default="csv")
     parser.add_argument("--out", help="write the report here instead of stdout")
 
 
@@ -91,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit a complexity constant to a report")
     fit.add_argument("--input", required=True)
     fit.add_argument("--column", choices=("comparisons", "seconds"), required=True)
-    fit.add_argument("--model", choices=("nlogn", "nlog2n"), required=True)
+    fit.add_argument("--model", choices=MODELS, required=True)
 
     verify = sub.add_parser("verify", help="check sorted + stable + permutation")
     _add_common(verify)
@@ -145,7 +142,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_fit(args: argparse.Namespace) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
-    fmt = "json" if args.input.endswith(".json") else "csv"
+    # a JSON report is an array; a CSV report starts with its header row
+    fmt = "json" if text.lstrip().startswith("[") else "csv"
     records = parse_report(text, fmt)
     # fits use median summary rows when present, and only verified runs
     medians = [r for r in records if r.rep == "median" and r.verified]

@@ -56,7 +56,11 @@ def _co_rank(
     # Callers pass na = len(a), nb = len(b) (the ints they already hold: a
     # second len() of a long run allocates two more) and guarantee
     # 0 <= i <= na + nb.  merge._merge_inplace runs this search inline for
-    # i = na; keep the two copies alike.
+    # i = na, with the first test peeled and a walk for a run of one element
+    # (where the two tests ask one pair); keep the two copies alike.  In
+    # tests/test_merge.py, test_inplace_asks_the_comparisons_of_co_rank_and_rotate
+    # (hypothesis) pins both, and test_single_element_walk_matches_reference
+    # pins the walk exhaustively.
     j = i if i < na else na
     k = i - j
     j_low = i - nb if i > nb else 0

@@ -25,7 +25,12 @@ the same comparisons in the same order; it exchanges a single pair (k = 1,
 about two-thirds of all exchanges in a uniform sort) by one tuple swap and
 calls :func:`rotation._swap_halves` only for larger blocks; and it enters no
 node for a side with an empty run, only recording the depth that node would
-have reached.  Comparisons, moves and peak depth are those of the plain recursion.
+have reached.  Two searches are trivial and skip the search's set-up: runs
+already in order end the node at the search's first test, and a run of one
+element walks through the other run pair by pair, asking at each step the
+search's two tests of the same pair (most searches of a uniform sort are
+one of the two).  Comparisons, moves and peak depth are those of the plain
+recursion.
 The buffered merge rejects a sequence without list slice assignment (a
 ``deque``, an ``array.array``) with a TypeError that says so.
 """
@@ -174,10 +179,41 @@ def _merge_inplace(
         # of coranking._co_rank, asking its two tests in the same order, but
         # tracking k alone.  j = n1 - k, so A[j] is a[mid-k], and the bound
         # j_low becomes k_high = n1 - j_low, which starts at min(n1, n2).
+        # Its first test, at k = 0, is peeled: if it does not fire, the runs
+        # are already in order and both halves are base cases.
+        if not less(a[mid], a[mid - 1]):
+            if phases is not None:
+                phases.corank_seconds += perf_counter() - t0
+            break
+        if n1 == 1 or n2 == 1:
+            # one element walks through the other run, one node per step:
+            # the search's second test (k = 1) asks the first test's pair
+            # again, the pair is exchanged, and the side with an empty run
+            # needs no node.  The walk ends at the run's end or at the next
+            # first test that finds the pair in order; a comparator that
+            # answers the second test otherwise also ends it.
+            step, stop = (1, mid + n2) if n1 == 1 else (-1, lo)
+            while less(a[mid], a[mid - 1]):
+                if phases is not None:
+                    t1 = perf_counter()
+                    phases.corank_seconds += t1 - t0
+                a[mid - 1], a[mid] = a[mid], a[mid - 1]
+                if phases is not None:
+                    t0 = perf_counter()
+                    phases.rotation_seconds += t0 - t1
+                if gauge is not None and depth >= gauge.peak:
+                    gauge.peak = depth + 1
+                mid += step
+                if mid == stop or not less(a[mid], a[mid - 1]):
+                    break
+            if phases is not None:
+                phases.corank_seconds += perf_counter() - t0
+            break
+        # the search goes on where the first test, having fired, leaves it
         m = n1 if n1 < n2 else n2
-        k = 0
         k_low = 0
         k_high = m
+        k = (m + 1) >> 1
         while True:
             if k < m and less(a[mid + k], a[mid - k - 1]):
                 k_low = k
@@ -190,13 +226,11 @@ def _merge_inplace(
         j = n1 - k
         if phases is not None:
             phases.corank_seconds += perf_counter() - t0
-        if k == 0:
-            # runs already in order at this node: both halves are base cases
-            break
         # ints above 256 are heap objects: drop them before recursing, or
         # every frame on the stack keeps its own (tracemalloc sees them)
         k_low = k_high = m = 0
-        # middle block a[mid-k : mid+k]: exchange its halves
+        # middle block a[mid-k : mid+k]: exchange its halves (a comparator
+        # that answers one pair two ways can leave k = 0: nothing moves)
         if phases is not None:
             t0 = perf_counter()
         if k == 1:

@@ -82,7 +82,8 @@ def rotate_right(
 
 def _swap_halves(a: MutableSequence[Any], lo: int, k: int) -> None:
     # Exchange a[lo:lo+k] with a[lo+k:lo+2k]: 2k writes, no allocation.
-    # Callers guarantee k >= 1 and valid bounds.
+    # Callers guarantee valid bounds; k = 0 writes nothing (the merge passes
+    # it only when a comparator answers one pair two ways).
     if k == 1:
         a[lo], a[lo + 1] = a[lo + 1], a[lo]
         return

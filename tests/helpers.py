@@ -121,6 +121,29 @@ class TableComparator:
         return self.table[x * self.n + y]
 
 
+class CappedComparator:
+    """Wraps a three-way comparator, counts its calls and raises
+    CallCapExceeded past ``cap``, so a sort that would not end fails."""
+
+    def __init__(self, compare: Comparator, cap: int) -> None:
+        self.compare = compare
+        self.cap = cap
+        self.calls = 0
+
+    def __call__(self, x: Any, y: Any) -> int:
+        self.calls += 1
+        if self.calls > self.cap:
+            raise CallCapExceeded(f"more than {self.cap} comparator calls")
+        return self.compare(x, y)
+
+
+def changing_comparator(seed: int, cap: int) -> CappedComparator:
+    """Comparator whose answers change from call to call: each call draws
+    -1, 0 or 1 from a seeded generator, whatever its arguments."""
+    rng = random.Random(seed)
+    return CappedComparator(lambda x, y: rng.choice((-1, 0, 1)), cap)
+
+
 def reference_merge_inplace(
     seq: list[Any], lo: int, n1: int, n2: int, compare: Comparator
 ) -> None:

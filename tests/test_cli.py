@@ -68,6 +68,29 @@ def test_fit_roundtrip(tmp_path, capsys):
     assert result["points"] == 3
 
 
+def test_fit_detects_json_from_content(tmp_path, capsys):
+    # the format comes from the report's text, not from the file's extension
+    as_json = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        capsys,
+        "sweep", "--n-min", "256", "--n-max", "2048", "--steps", "3",
+        "--algo", "buffered", "--count", "--format", "json", "--out", str(as_json),
+    )
+    assert code == 0
+    as_txt = tmp_path / "report.txt"
+    as_txt.write_text(as_json.read_text())
+    fits = []
+    for path in (as_json, as_txt):
+        code, out, _ = run_cli(
+            capsys,
+            "fit", "--input", str(path), "--column", "comparisons", "--model", "nlogn",
+        )
+        assert code == 0
+        fits.append(json.loads(out))
+    assert fits[0] == fits[1]
+    assert fits[0]["points"] == 3
+
+
 def test_verify_ok(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--n", "2000", "--dist", "sawtooth", "--seed", "1"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -214,3 +215,48 @@ def test_inplace_asks_the_comparisons_of_co_rank_and_rotate(run1, run2, start):
     reference_merge_inplace(want, start, len(run1), len(run2), logged(want_log))
     assert got_log == want_log
     assert got == want
+
+
+@pytest.mark.parametrize("start", [0, 3])
+def test_single_element_walk_matches_reference(start):
+    # a single element merged into every run of keys {0, 1, 2} up to length
+    # 12, from the left (n1 = 1) and from the right (n2 = 1): every insertion
+    # position, with ties; the comparator calls, the output and the depth
+    # must be the plain recursion's
+    def logged(log):
+        def compare(x, y):
+            log.append((x[1], y[1]))
+            return default_compare(x[0], y[0])
+
+        return compare
+
+    runs = [
+        [0] * zeros + [1] * ones + [2] * (length - zeros - ones)
+        for length in range(13)
+        for zeros in range(length + 1)
+        for ones in range(length - zeros + 1)
+    ]
+    prefix = [(-1, -1 - t) for t in range(start)]
+    for run, key, from_left in itertools.product(runs, (0, 1, 2), (True, False)):
+        keys, n1 = ([key] + run, 1) if from_left else (run + [key], len(run))
+        n2 = len(keys) - n1
+        tagged = prefix + [(k, t) for t, k in enumerate(keys)]
+        got, want = list(tagged), list(tagged)
+        got_log, want_log = [], []
+        gauge = MergeDepthGauge()
+        merge_inplace(got, n1, n2, logged(got_log), start, gauge)
+        reference_merge_inplace(want, start, n1, n2, logged(want_log))
+        assert got_log == want_log, (keys, n1)
+        assert got == want, (keys, n1)
+        assert gauge.peak == (2 if got != tagged else 1), (keys, n1)
+
+
+def test_phase_times_accumulate_in_a_walk():
+    # one element larger than the whole run walks through all of it
+    rng = random.Random(53)
+    base = [2.0] + sorted_random_run(rng, 500, None)
+    phases = PhaseTimes()
+    merge_inplace(base, 1, 500, phases=phases)
+    assert phases.corank_seconds > 0.0
+    assert phases.rotation_seconds > 0.0
+    assert base == sorted(base)

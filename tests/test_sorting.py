@@ -3,9 +3,11 @@ import collections
 import itertools
 import math
 import random
+import sys
+import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import sortbench.sorting as sorting_mod
 from sortbench.comparator import default_compare
@@ -17,9 +19,15 @@ from sortbench.instrumentation import (
     key_comparator,
     verify_stable_permutation,
 )
+from sortbench.merge import PhaseTimes
 from sortbench.sorting import MergeStrategy, insertion_sorted, mergesort
 
-from helpers import TableComparator, stable_merge_oracle
+from helpers import (
+    CappedComparator,
+    TableComparator,
+    changing_comparator,
+    stable_merge_oracle,
+)
 
 
 def sort_copy(values, strategy, compare=default_compare, stats=None):
@@ -234,3 +242,88 @@ def test_raising_comparator_propagates_and_leaves_permutation(keys, strategy, da
     with pytest.raises(ComparatorFailed):
         mergesort(a, compare, strategy)
     assert sorted(a) == sorted(keys)
+
+
+@pytest.mark.parametrize("dist", ["uniform", "fewdistinct"])
+def test_phase_times_leave_the_sort_unchanged(dist):
+    # the phase timers sit in the merge's one loop, walk included: timing a
+    # sort must not change its output or its counted work
+    keys = generate(4096, Distribution(dist), 71)
+    tagged = [TaggedElement(k, t) for t, k in enumerate(keys)]
+    timed = PhaseTimes()
+    runs = []
+    for phases in (None, timed):
+        arr = MoveCountingList(tagged)
+        stats = SortStats()
+        mergesort(arr, key_comparator(), stats=stats, phases=phases)
+        runs.append((list(arr), stats.comparisons, stats.moves, stats.max_merge_depth))
+    assert runs[0] == runs[1]
+    assert timed.corank_seconds > 0.0 and timed.rotation_seconds > 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(list(MergeStrategy)),
+)
+def test_sort_terminates_when_answers_change_between_calls(n, seed, strategy):
+    # one pair asked twice can get two answers: the merge's walk then stops
+    # where the co-rank search would ask again; the sort must still end and
+    # leave a permutation
+    compare = changing_comparator(seed, cap=100_000)
+    a = list(range(n))
+    mergesort(a, compare, strategy)
+    assert sorted(a) == list(range(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.one_of(st.floats(), st.just(math.nan)), max_size=48),
+    st.sampled_from(list(MergeStrategy)),
+)
+def test_sort_with_nan_terminates_and_leaves_permutation(values, strategy):
+    # NaN is unordered against everything: no sorted order exists, but the
+    # sort ends, leaves a permutation, and the default comparator's path
+    # (operator.lt) makes the same moves as a three-way comparator
+    a = list(values)
+    mergesort(a, CappedComparator(default_compare, cap=100_000), strategy)
+    b = list(values)
+    mergesort(b, strategy=strategy)
+    assert sorted(map(id, a)) == sorted(map(id, values))
+    assert list(map(id, b)) == list(map(id, a))
+
+
+def test_distinct_sequences_sort_concurrently():
+    # the README's claim: distinct sequences may be sorted from several
+    # threads at once; a short switch interval interleaves them finely
+    rng = random.Random(73)
+    jobs = [
+        ([rng.random() for _ in range(2000)], strategy)
+        for strategy in MergeStrategy
+        for _ in range(2)
+    ]
+    expected = []
+    for values, strategy in jobs:
+        stats = SortStats()
+        sort_copy(values, strategy, stats=stats)
+        expected.append((sorted(values), stats.comparisons))
+    results = [None] * len(jobs)
+
+    def work(i):
+        values, strategy = jobs[i]
+        stats = SortStats()
+        results[i] = (sort_copy(values, strategy, stats=stats), stats.comparisons)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == expected
