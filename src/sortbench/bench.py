@@ -15,7 +15,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, asdict
 from functools import cmp_to_key
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .comparator import default_compare
 from .datagen import Distribution, generate, tag
@@ -60,7 +60,6 @@ class BenchConfig:
     seed: int = 42
     reps: int = 1
     count_mode: bool = False
-    output_format: str = "csv"
     attribute_phases: bool = False
     fixed_seed: bool = False
     tagged: bool = False
@@ -72,17 +71,18 @@ class BenchConfig:
             raise ValueError("n must be nonnegative")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        if self.output_format not in FORMATS:
-            raise ValueError(f"unknown format {self.output_format!r}")
 
 
 @dataclass
 class BenchRecord:
     """One measured run (or the median summary row of a rep group).
 
-    ``comparisons``/``moves``/``max_depth`` are populated in count mode,
-    ``corank_seconds``/``rotation_seconds`` only for the in-place algorithm
-    in phase-attribution mode.
+    A field is ``None`` (an empty CSV cell, JSON ``null``) when the run did
+    not measure it.  ``comparisons`` is measured in count mode; ``moves``
+    too, except for ``system`` (``list.sort`` writes past the counting
+    list); ``max_depth`` only for ``inplace`` in count mode;
+    ``corank_seconds``/``rotation_seconds`` only for ``inplace`` in
+    phase-attribution mode.
     """
 
     algo: str
@@ -91,9 +91,9 @@ class BenchRecord:
     seed: int
     rep: int | str
     seconds: float
-    comparisons: int = 0
-    moves: int = 0
-    max_depth: int = 0
+    comparisons: int | None = None
+    moves: int | None = None
+    max_depth: int | None = None
     verified: bool = False
     corank_seconds: float | None = None
     rotation_seconds: float | None = None
@@ -195,9 +195,17 @@ def _run_once(config: BenchConfig, rep: int, rep_seed: int) -> BenchRecord:
         seed=rep_seed,
         rep=rep,
         seconds=seconds,
-        comparisons=stats.comparisons if stats is not None else 0,
-        moves=stats.moves if stats is not None else 0,
-        max_depth=stats.max_merge_depth if stats is not None else 0,
+        comparisons=stats.comparisons if stats is not None else None,
+        moves=(
+            stats.moves
+            if stats is not None and config.algorithm != "system"
+            else None
+        ),
+        max_depth=(
+            stats.max_merge_depth
+            if stats is not None and config.algorithm == "inplace"
+            else None
+        ),
         verified=verified,
         corank_seconds=phases.corank_seconds if phases is not None else None,
         rotation_seconds=phases.rotation_seconds if phases is not None else None,
@@ -210,9 +218,13 @@ def _median(values: Sequence[float]) -> float:
     return ordered[(len(ordered) - 1) // 2]
 
 
+def _median_or_none(values: Sequence[Any]) -> Any:
+    # a field is summarized only when every rep measured it
+    return None if any(v is None for v in values) else _median(values)
+
+
 def _median_summary(records: list[BenchRecord]) -> BenchRecord:
     first = records[0]
-    has_phases = all(r.corank_seconds is not None for r in records)
     return BenchRecord(
         algo=first.algo,
         n=first.n,
@@ -220,16 +232,12 @@ def _median_summary(records: list[BenchRecord]) -> BenchRecord:
         seed=first.seed,
         rep="median",
         seconds=_median([r.seconds for r in records]),
-        comparisons=int(_median([r.comparisons for r in records])),
-        moves=int(_median([r.moves for r in records])),
-        max_depth=int(_median([r.max_depth for r in records])),
+        comparisons=_median_or_none([r.comparisons for r in records]),
+        moves=_median_or_none([r.moves for r in records]),
+        max_depth=_median_or_none([r.max_depth for r in records]),
         verified=all(r.verified for r in records),
-        corank_seconds=(
-            _median([r.corank_seconds for r in records]) if has_phases else None
-        ),
-        rotation_seconds=(
-            _median([r.rotation_seconds for r in records]) if has_phases else None
-        ),
+        corank_seconds=_median_or_none([r.corank_seconds for r in records]),
+        rotation_seconds=_median_or_none([r.rotation_seconds for r in records]),
     )
 
 
@@ -275,10 +283,19 @@ def fit_constant(points: Sequence[tuple[int, float]], model: str) -> FitResult:
     return FitResult(c=c, residual=residual, model=model)
 
 
+def _cell(value: Any, render: Callable[[Any], str]) -> str:
+    return "" if value is None else render(value)
+
+
+def _field(text: str, parse: Callable[[str], Any]) -> Any:
+    return parse(text) if text else None
+
+
 def emit_report(records: Sequence[BenchRecord], output_format: str) -> str:
     """Serialize records as CSV (fixed column order) or a JSON array.
 
-    All numbers are rendered in locale-independent form.
+    All numbers are rendered in locale-independent form; a field that was
+    not measured is an empty CSV cell or JSON ``null``.
     """
     if output_format == "csv":
         buf = io.StringIO()
@@ -294,12 +311,12 @@ def emit_report(records: Sequence[BenchRecord], output_format: str) -> str:
                     d["seed"],
                     d["rep"],
                     repr(d["seconds"]),
-                    d["comparisons"],
-                    d["moves"],
-                    d["max_depth"],
+                    _cell(d["comparisons"], str),
+                    _cell(d["moves"], str),
+                    _cell(d["max_depth"], str),
                     "true" if d["verified"] else "false",
-                    "" if d["corank_seconds"] is None else repr(d["corank_seconds"]),
-                    "" if d["rotation_seconds"] is None else repr(d["rotation_seconds"]),
+                    _cell(d["corank_seconds"], repr),
+                    _cell(d["rotation_seconds"], repr),
                 ]
             )
         return buf.getvalue()
@@ -324,18 +341,12 @@ def parse_report(text: str, output_format: str) -> list[BenchRecord]:
                     seed=int(row["seed"]),
                     rep=row["rep"] if row["rep"] == "median" else int(row["rep"]),
                     seconds=float(row["seconds"]),
-                    comparisons=int(row["comparisons"]),
-                    moves=int(row["moves"]),
-                    max_depth=int(row["max_depth"]),
+                    comparisons=_field(row["comparisons"], int),
+                    moves=_field(row["moves"], int),
+                    max_depth=_field(row["max_depth"], int),
                     verified=row["verified"] == "true",
-                    corank_seconds=(
-                        float(row["corank_seconds"]) if row["corank_seconds"] else None
-                    ),
-                    rotation_seconds=(
-                        float(row["rotation_seconds"])
-                        if row["rotation_seconds"]
-                        else None
-                    ),
+                    corank_seconds=_field(row["corank_seconds"], float),
+                    rotation_seconds=_field(row["rotation_seconds"], float),
                 )
             )
         return records

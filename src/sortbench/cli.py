@@ -109,7 +109,6 @@ def _config(args: argparse.Namespace, n: int, tagged: bool = False) -> BenchConf
         seed=args.seed,
         reps=getattr(args, "reps", 1),
         count_mode=getattr(args, "count", False),
-        output_format=getattr(args, "format", "csv"),
         attribute_phases=getattr(args, "attribute_phases", False),
         fixed_seed=getattr(args, "fixed_seed", False),
         tagged=tagged,
@@ -148,6 +147,16 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     # fits use median summary rows when present, and only verified runs
     medians = [r for r in records if r.rep == "median" and r.verified]
     rows = medians if medians else [r for r in records if r.verified]
+    unmeasured = [r for r in rows if getattr(r, args.column) is None]
+    if unmeasured:
+        raise ValueError(
+            f"no {args.column} value in {len(unmeasured)} row(s): "
+            + "; ".join(
+                f"{r.algo} n={r.n} dist={r.dist} seed={r.seed} rep={r.rep}"
+                for r in unmeasured
+            )
+            + "; counters are measured only with --count"
+        )
     points = [(r.n, float(getattr(r, args.column))) for r in rows]
     result = fit_constant(points, args.model)
     sys.stdout.write(

@@ -11,18 +11,21 @@ with ``j + k = i`` such that the first ``i`` elements of C are exactly
 The asymmetry (``<=`` on the A side, ``<`` on the B side) is what makes the
 split stable: equal keys are drawn from A before B.
 
-The search converges in a binary-search fashion, maintaining ``j + k == i``
-throughout, and costs at most ``2 * (ceil(log2(nA + nB + 1)) + 2)`` comparator
-calls.  Range checks short-circuit ahead of every comparison, so the
-comparator is never invoked with an out-of-range index.
+The search is a lower bound over ``j`` in ``[max(0, i - nB), min(i, nA)]``.
+With ``k = i - j``, the test "does ``B[k-1]`` strictly precede ``A[j]``?" is
+false up to the co-rank and true from there on (both runs are sorted), and
+the first ``j`` where it holds, or ``min(i, nA)`` if it never does, is the
+co-rank.  Each step asks that one test through the less-than predicate of
+:func:`as_less` and halves the range, so a query costs at most
+``ceil(log2(min(i, nA, nB, nA + nB - i) + 1))`` comparator calls, well inside
+the documented budget of ``2 * (ceil(log2(nA + nB + 1)) + 2)``.
+Inside the range both indexes are in bounds, so no range check is needed
+and the comparator is never invoked with an out-of-range index.
 
-Both tests of the search ask one kind of question, "does ``B[i-t-1]``
-strictly precede ``A[t]``?", through the less-than predicate of
-:func:`as_less`.  The test that lowers ``j`` from ``t + 1`` and the test that
-raises it from ``t`` ask it of the same pair, so they cannot both fire.  Even
-a deterministic comparator that is not an ordering therefore cannot send the
-search back and forth forever: it terminates within the budget above and
-returns ``j + k == i`` in range, though the split then has no meaning.
+Termination is structural: the range shrinks on every step whatever the
+comparator answers, so even a comparator that is not an ordering, or whose
+answers change from call to call, gets ``j + k == i`` in range within the
+same number of calls, though the split then has no meaning.
 """
 
 from __future__ import annotations
@@ -55,31 +58,19 @@ def _co_rank(
 ) -> tuple[int, int]:
     # Callers pass na = len(a), nb = len(b) (the ints they already hold: a
     # second len() of a long run allocates two more) and guarantee
-    # 0 <= i <= na + nb.  merge._merge_inplace runs this search inline for
-    # i = na, with the first test peeled and a walk for a run of one element
-    # (where the two tests ask one pair); keep the two copies alike.  In
-    # tests/test_merge.py, test_inplace_asks_the_comparisons_of_co_rank_and_rotate
-    # (hypothesis) pins both, and test_single_element_walk_matches_reference
-    # pins the walk exhaustively.
-    j = i if i < na else na
-    k = i - j
-    j_low = i - nb if i > nb else 0
-    k_low = i - na if i > na else 0
-    while True:
-        if j > 0 and k < nb and less(b[k], a[j - 1]):
-            # too many taken from a: give half the slack back
-            delta = (j - j_low + 1) >> 1
-            k_low = k
-            j -= delta
-            k += delta
-        elif k > 0 and j < na and not less(b[k - 1], a[j]):
-            # too many taken from b (ties must come from a first)
-            delta = (k - k_low + 1) >> 1
-            j_low = j
-            j += delta
-            k -= delta
+    # 0 <= i <= na + nb.  Lower bound over j in [lo, hi): for lo <= j < hi,
+    # k = i - j lies in [1, nb], so b[i - j - 1] and a[j] both exist.
+    # merge._merge_inplace does not use this search: it runs the paper's
+    # bidirectional co-rank inline, pinned to tests/helpers.paper_co_rank.
+    lo = i - nb if i > nb else 0
+    hi = i if i < na else na
+    while lo < hi:
+        j = (lo + hi) >> 1
+        if less(b[i - j - 1], a[j]):
+            hi = j
         else:
-            return j, k
+            lo = j + 1
+    return lo, i - lo
 
 
 def select_merged(

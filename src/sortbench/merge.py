@@ -20,8 +20,9 @@ directly with 2k writes.  Both merges compare through the less-than
 predicate of :func:`comparator.as_less`, built once per public call.
 
 A merge node of the in-place merge makes no further Python call in the
-common case.  It runs the co-rank search of :mod:`coranking` inline, with
-the same comparisons in the same order; it exchanges a single pair (k = 1,
+common case.  It runs the paper's bidirectional co-rank search inline (the
+search that ``tests/helpers.paper_co_rank`` replays, not the one-test lower
+bound of :mod:`coranking`); it exchanges a single pair (k = 1,
 about two-thirds of all exchanges in a uniform sort) by one tuple swap and
 calls :func:`rotation._swap_halves` only for larger blocks; and it enters no
 node for a side with an empty run, only recording the depth that node would
@@ -175,10 +176,11 @@ def _merge_inplace(
         mid = lo + n1
         if phases is not None:
             t0 = perf_counter()
-        # co-rank i = n1 over a[lo:mid] and a[mid:mid+n2], inline: the search
-        # of coranking._co_rank, asking its two tests in the same order, but
-        # tracking k alone.  j = n1 - k, so A[j] is a[mid-k], and the bound
-        # j_low becomes k_high = n1 - j_low, which starts at min(n1, n2).
+        # co-rank i = n1 over a[lo:mid] and a[mid:mid+n2], inline: the
+        # paper's bidirectional search (tests/helpers.paper_co_rank), asking
+        # its two tests in the same order, but tracking k alone.  j = n1 - k,
+        # so A[j] is a[mid-k], and the bound j_low becomes
+        # k_high = n1 - j_low, which starts at min(n1, n2).
         # Its first test, at k = 0, is peeled: if it does not fire, the runs
         # are already in order and both halves are base cases.
         if not less(a[mid], a[mid - 1]):

@@ -1,7 +1,9 @@
 """Shared oracles and fixtures for the test suite.
 
 The oracles deliberately stay brute force (two-pointer merges, full copies)
-so they remain independent of the code paths they check.
+so they remain independent of the code paths they check.  The one exception
+is ``paper_co_rank``, a copy of the search the in-place merge runs inline,
+kept here so the merge's comparator calls can be replayed exactly.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ import random
 from typing import Any, Sequence
 
 from sortbench.comparator import Comparator, default_compare
-from sortbench.coranking import co_rank
 from sortbench.instrumentation import TaggedElement
 from sortbench.rotation import rotate_left
 
@@ -144,16 +145,48 @@ def changing_comparator(seed: int, cap: int) -> CappedComparator:
     return CappedComparator(lambda x, y: rng.choice((-1, 0, 1)), cap)
 
 
+def paper_co_rank(
+    i: int, a: Sequence[Any], b: Sequence[Any], compare: Comparator
+) -> tuple[int, int]:
+    """The paper's bidirectional co-rank search (Siebert & Traeff), which the
+    in-place merge runs inline.  It starts at ``j = min(i, len(a))`` and
+    moves the split by half the remaining slack in either direction: one
+    test lowers ``j``, a second raises it back.  Both ask "does ``b[i-t-1]``
+    strictly precede ``a[t]``?" as ``compare(x, y) < 0``, so its comparator
+    calls are the ones the merge's search must make."""
+    na = len(a)
+    nb = len(b)
+    j = i if i < na else na
+    k = i - j
+    j_low = i - nb if i > nb else 0
+    k_low = i - na if i > na else 0
+    while True:
+        if j > 0 and k < nb and compare(b[k], a[j - 1]) < 0:
+            # too many taken from a: give half the slack back
+            delta = (j - j_low + 1) >> 1
+            k_low = k
+            j -= delta
+            k += delta
+        elif k > 0 and j < na and not compare(b[k - 1], a[j]) < 0:
+            # too many taken from b (ties must come from a first)
+            delta = (k - k_low + 1) >> 1
+            j_low = j
+            j += delta
+            k -= delta
+        else:
+            return j, k
+
+
 def reference_merge_inplace(
     seq: list[Any], lo: int, n1: int, n2: int, compare: Comparator
 ) -> None:
-    """The in-place merge rebuilt from the public layers: co-rank ``i = n1``
-    with ``co_rank`` on copies of the two runs, rotate the middle block with
+    """The in-place merge rebuilt from plain layers: co-rank ``i = n1`` with
+    ``paper_co_rank`` on copies of the two runs, rotate the middle block with
     ``rotate_left`` on a copy, recurse into the smaller side and loop on the
     larger.  Its comparator calls are the ones the merge must make."""
     while n1 > 0 and n2 > 0:
         mid = lo + n1
-        j, k = co_rank(n1, seq[lo:mid], seq[mid : mid + n2], compare)
+        j, k = paper_co_rank(n1, seq[lo:mid], seq[mid : mid + n2], compare)
         if k == 0:
             return
         block = seq[lo + j : mid + k]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -27,8 +28,9 @@ def test_config_validation():
         config(n=-1)
     with pytest.raises(ValueError):
         config(reps=0)
+    records = run_benchmark(config(n=10))
     with pytest.raises(ValueError):
-        config(output_format="xml")
+        emit_report(records, "xml")
 
 
 def test_empty_input_record():
@@ -183,3 +185,54 @@ def test_report_round_trips():
     records = sample_records()
     for fmt in ("csv", "json"):
         assert parse_report(emit_report(records, fmt), fmt) == records
+
+
+@pytest.mark.parametrize("algo", ["inplace", "buffered", "system"])
+def test_counters_are_none_without_count_mode(algo):
+    for rec in run_benchmark(config(algorithm=algo, n=500, reps=2)):
+        assert rec.comparisons is None
+        assert rec.moves is None
+        assert rec.max_depth is None
+
+
+def test_count_mode_leaves_unmeasured_counters_none():
+    inplace, buffered, system = (
+        run_benchmark(config(algorithm=algo, n=500, count_mode=True, reps=2))
+        for algo in ("inplace", "buffered", "system")
+    )
+    for rec in inplace:
+        assert rec.comparisons > 0 and rec.moves > 0 and rec.max_depth > 0
+    # the buffered strategy has no merge recursion to gauge
+    for rec in buffered:
+        assert rec.comparisons > 0 and rec.moves > 0
+        assert rec.max_depth is None
+    # list.sort writes past MoveCountingList.__setitem__ and has no merge depth
+    for rec in system:
+        assert rec.comparisons > 0
+        assert rec.moves is None
+        assert rec.max_depth is None
+
+
+def test_unmeasured_fields_are_empty_csv_cells_and_json_null():
+    records = run_benchmark(config(algorithm="system", n=100, count_mode=True))
+    line = emit_report(records[:1], "csv").splitlines()[1].split(",")
+    comparisons, moves, max_depth = line[6:9]
+    assert int(comparisons) > 0
+    assert moves == "" and max_depth == ""
+    obj = json.loads(emit_report(records[:1], "json"))[0]
+    assert obj["moves"] is None and obj["max_depth"] is None
+    for fmt in ("csv", "json"):
+        assert parse_report(emit_report(records, fmt), fmt) == records
+
+
+def test_median_summary_keeps_unmeasured_fields_none():
+    def rec(rep, comparisons):
+        return BenchRecord(
+            algo="buffered", n=10, dist="uniform", seed=1, rep=rep,
+            seconds=0.5 + rep, comparisons=comparisons, verified=True,
+        )
+
+    summary = bench_mod._median_summary([rec(0, 30), rec(1, 10), rec(2, 20)])
+    assert summary.comparisons == 20
+    assert summary.moves is None and summary.max_depth is None
+    assert summary.corank_seconds is None

@@ -142,3 +142,29 @@ def test_bad_fit_input_reports_usage_error(tmp_path, capsys):
     )
     assert code == 2
     assert "error" in err
+
+
+def test_fit_refuses_rows_without_comparisons(tmp_path, capsys):
+    report = tmp_path / "timed.csv"
+    code, _, _ = run_cli(
+        capsys,
+        "sweep", "--n-min", "64", "--n-max", "256", "--steps", "3",
+        "--algo", "buffered", "--out", str(report),
+    )
+    assert code == 0
+    code, out, err = run_cli(
+        capsys,
+        "fit", "--input", str(report), "--column", "comparisons", "--model", "nlogn",
+    )
+    assert code == 2
+    assert out == ""
+    assert "no comparisons value in 3 row(s)" in err
+    for n in (64, 128, 256):
+        assert f"buffered n={n} dist=uniform seed=42 rep=median" in err
+    # seconds are always measured, so the same report fits on them
+    code, out, _ = run_cli(
+        capsys,
+        "fit", "--input", str(report), "--column", "seconds", "--model", "nlogn",
+    )
+    assert code == 0
+    assert json.loads(out)["points"] == 3

@@ -8,7 +8,13 @@ from sortbench.comparator import default_compare
 from sortbench.coranking import co_rank, co_rank_by_merge, select_merged
 from sortbench.instrumentation import SortStats, counting_comparator
 
-from helpers import TableComparator, stable_merge_oracle
+from helpers import (
+    TableComparator,
+    changing_comparator,
+    paper_co_rank,
+    sorted_random_run,
+    stable_merge_oracle,
+)
 
 
 def split_conditions_hold(j, k, a, b, compare=default_compare):
@@ -176,3 +182,70 @@ def test_terminates_within_budget_for_any_comparator(na, nb, seed, data):
     j, k = co_rank(i, list(range(na)), list(range(na, na + nb)), compare)
     assert j + k == i
     assert 0 <= j <= na and 0 <= k <= nb
+
+
+def tight_budget(i, na, nb):
+    # one comparison per halving of the j range [max(0, i - nb), min(i, na)]
+    return math.ceil(math.log2(min(i, na, nb, na + nb - i) + 1))
+
+
+def test_tight_budget_exhaustive_small():
+    rng = random.Random(19)
+    for na in range(17):
+        for nb in range(17):
+            for _ in range(2):
+                a = sorted(rng.randrange(4) for _ in range(na))
+                b = sorted(rng.randrange(4) for _ in range(nb))
+                for i in range(na + nb + 1):
+                    stats = SortStats()
+                    got = co_rank(i, a, b, counting_comparator(default_compare, stats))
+                    assert got == co_rank_by_merge(i, a, b), (a, b, i)
+                    assert stats.comparisons <= tight_budget(i, na, nb), (a, b, i)
+
+
+def test_tight_budget_random():
+    rng = random.Random(23)
+    for _ in range(2000):
+        na = round(2 ** rng.uniform(0, 14))
+        nb = round(2 ** rng.uniform(0, 14))
+        universe = rng.choice([None, 4, 1000])
+        a = sorted_random_run(rng, na, universe)
+        b = sorted_random_run(rng, nb, universe)
+        i = rng.randrange(na + nb + 1)
+        stats = SortStats()
+        j, k = co_rank(i, a, b, counting_comparator(default_compare, stats))
+        assert j + k == i and split_conditions_hold(j, k, a, b), (na, nb, i)
+        assert stats.comparisons <= tight_budget(i, na, nb), (na, nb, i)
+
+
+@given(
+    st.integers(min_value=0, max_value=64),
+    st.integers(min_value=0, max_value=64),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.data(),
+)
+def test_terminates_within_tight_budget_when_answers_change(na, nb, seed, data):
+    # termination is structural: whatever the comparator answers, each call
+    # halves the search range
+    i = data.draw(st.integers(min_value=0, max_value=na + nb))
+    compare = changing_comparator(seed, cap=tight_budget(i, na, nb))
+    j, k = co_rank(i, list(range(na)), list(range(na, na + nb)), compare)
+    assert j + k == i
+    assert 0 <= j <= na and 0 <= k <= nb
+
+
+def test_paper_co_rank_matches_oracle_within_budget():
+    # the bidirectional search the in-place merge runs inline, kept as the
+    # merge's test oracle: the same split, within the paper's budget
+    rng = random.Random(29)
+    for na in range(13):
+        for nb in range(13):
+            for _ in range(3):
+                a = sorted(rng.randrange(4) for _ in range(na))
+                b = sorted(rng.randrange(4) for _ in range(nb))
+                for i in range(na + nb + 1):
+                    stats = SortStats()
+                    got = paper_co_rank(i, a, b, counting_comparator(default_compare, stats))
+                    assert got == co_rank_by_merge(i, a, b), (a, b, i)
+                    budget = 2 * (math.ceil(math.log2(na + nb + 1)) + 2)
+                    assert stats.comparisons <= budget, (a, b, i)

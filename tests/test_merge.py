@@ -198,8 +198,8 @@ dup_runs = st.lists(st.integers(min_value=0, max_value=4), max_size=40).map(sort
 
 @given(dup_runs, dup_runs, st.integers(min_value=0, max_value=3))
 def test_inplace_asks_the_comparisons_of_co_rank_and_rotate(run1, run2, start):
-    # the merge runs the co-rank search inline; it must ask the same pairs,
-    # in the same order, as the public co_rank on the same slices
+    # the merge runs the paper's co-rank search inline; it must ask the same
+    # pairs, in the same order, as helpers.paper_co_rank on the same slices
     def logged(log):
         def compare(x, y):
             log.append((x[1], y[1]))
