@@ -30,7 +30,7 @@ from .merge import (
     merge_inplace,
 )
 from .rotation import normalize_offset, rotate_left, rotate_right, rotated_copy
-from .sorting import MergeStrategy, insertion_sorted, mergesort
+from .sorting import MergeStrategy, mergesort
 
 __version__ = "0.1.0"
 
@@ -49,7 +49,6 @@ __all__ = [
     "counting_comparator",
     "default_compare",
     "generate",
-    "insertion_sorted",
     "key_comparator",
     "merge_buffered",
     "merge_inplace",

@@ -13,7 +13,7 @@ import json
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cmp_to_key
 from typing import Any, Callable, Sequence
 
@@ -33,22 +33,6 @@ from .sorting import MergeStrategy, mergesort
 ALGORITHMS = ("inplace", "buffered", "system")
 FORMATS = ("csv", "json")
 MODELS = ("nlogn", "nlog2n")
-
-CSV_COLUMNS = (
-    "algo",
-    "n",
-    "dist",
-    "seed",
-    "rep",
-    "seconds",
-    "comparisons",
-    "moves",
-    "max_depth",
-    "verified",
-    "corank_seconds",
-    "rotation_seconds",
-)
-
 
 @dataclass(frozen=True)
 class BenchConfig:
@@ -97,6 +81,25 @@ class BenchRecord:
     verified: bool = False
     corank_seconds: float | None = None
     rotation_seconds: float | None = None
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(BenchRecord))
+# how a CSV cell reads back, by column; algo and dist stay text
+_CSV_PARSE: dict[str, Callable[[str], Any]] = {
+    **dict.fromkeys(("n", "seed", "comparisons", "moves", "max_depth"), int),
+    **dict.fromkeys(("seconds", "corank_seconds", "rotation_seconds"), float),
+    "rep": lambda text: text if text == "median" else int(text),
+    "verified": lambda text: text == "true",
+}
+# summary rows take the median of every measured quantity
+_MEDIAN_FIELDS = (
+    "seconds",
+    "comparisons",
+    "moves",
+    "max_depth",
+    "corank_seconds",
+    "rotation_seconds",
+)
 
 
 @dataclass(frozen=True)
@@ -159,16 +162,11 @@ def _run_once(config: BenchConfig, rep: int, rep_seed: int) -> BenchRecord:
     )
 
     if config.algorithm == "system":
-        if stats is not None:
-            key = cmp_to_key(counting_comparator(compare, stats))
-            t0 = time.perf_counter()
-            arr.sort(key=key)
-            seconds = time.perf_counter() - t0
-        else:
-            # timing reference: let the native sort run at full speed
-            t0 = time.perf_counter()
-            arr.sort()
-            seconds = time.perf_counter() - t0
+        # timing reference: the native sort runs at full speed unless counting
+        key = None if stats is None else cmp_to_key(counting_comparator(compare, stats))
+        t0 = time.perf_counter()
+        arr.sort(key=key)
+        seconds = time.perf_counter() - t0
     else:
         strategy = (
             MergeStrategy.INPLACE
@@ -224,21 +222,12 @@ def _median_or_none(values: Sequence[Any]) -> Any:
 
 
 def _median_summary(records: list[BenchRecord]) -> BenchRecord:
-    first = records[0]
-    return BenchRecord(
-        algo=first.algo,
-        n=first.n,
-        dist=first.dist,
-        seed=first.seed,
-        rep="median",
-        seconds=_median([r.seconds for r in records]),
-        comparisons=_median_or_none([r.comparisons for r in records]),
-        moves=_median_or_none([r.moves for r in records]),
-        max_depth=_median_or_none([r.max_depth for r in records]),
-        verified=all(r.verified for r in records),
-        corank_seconds=_median_or_none([r.corank_seconds for r in records]),
-        rotation_seconds=_median_or_none([r.rotation_seconds for r in records]),
-    )
+    medians = {
+        name: _median_or_none([getattr(r, name) for r in records])
+        for name in _MEDIAN_FIELDS
+    }
+    verified = all(r.verified for r in records)
+    return replace(records[0], rep="median", verified=verified, **medians)
 
 
 def geometric_sizes(n_min: int, n_max: int, steps: int) -> list[int]:
@@ -283,12 +272,12 @@ def fit_constant(points: Sequence[tuple[int, float]], model: str) -> FitResult:
     return FitResult(c=c, residual=residual, model=model)
 
 
-def _cell(value: Any, render: Callable[[Any], str]) -> str:
-    return "" if value is None else render(value)
-
-
-def _field(text: str, parse: Callable[[str], Any]) -> Any:
-    return parse(text) if text else None
+def _cell(value: Any) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
 def emit_report(records: Sequence[BenchRecord], output_format: str) -> str:
@@ -302,23 +291,7 @@ def emit_report(records: Sequence[BenchRecord], output_format: str) -> str:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for r in records:
-            d = asdict(r)
-            writer.writerow(
-                [
-                    d["algo"],
-                    d["n"],
-                    d["dist"],
-                    d["seed"],
-                    d["rep"],
-                    repr(d["seconds"]),
-                    _cell(d["comparisons"], str),
-                    _cell(d["moves"], str),
-                    _cell(d["max_depth"], str),
-                    "true" if d["verified"] else "false",
-                    _cell(d["corank_seconds"], repr),
-                    _cell(d["rotation_seconds"], repr),
-                ]
-            )
+            writer.writerow([_cell(getattr(r, column)) for column in CSV_COLUMNS])
         return buf.getvalue()
     if output_format == "json":
         return json.dumps([asdict(r) for r in records], indent=2) + "\n"
@@ -330,24 +303,13 @@ def parse_report(text: str, output_format: str) -> list[BenchRecord]:
     if output_format == "json":
         return [BenchRecord(**obj) for obj in json.loads(text)]
     if output_format == "csv":
-        reader = csv.DictReader(io.StringIO(text))
-        records = []
-        for row in reader:
-            records.append(
-                BenchRecord(
-                    algo=row["algo"],
-                    n=int(row["n"]),
-                    dist=row["dist"],
-                    seed=int(row["seed"]),
-                    rep=row["rep"] if row["rep"] == "median" else int(row["rep"]),
-                    seconds=float(row["seconds"]),
-                    comparisons=_field(row["comparisons"], int),
-                    moves=_field(row["moves"], int),
-                    max_depth=_field(row["max_depth"], int),
-                    verified=row["verified"] == "true",
-                    corank_seconds=_field(row["corank_seconds"], float),
-                    rotation_seconds=_field(row["rotation_seconds"], float),
-                )
+        return [
+            BenchRecord(
+                **{
+                    column: _CSV_PARSE.get(column, str)(cell) if cell else None
+                    for column, cell in row.items()
+                }
             )
-        return records
+            for row in csv.DictReader(io.StringIO(text))
+        ]
     raise ValueError(f"unknown format {output_format!r}")

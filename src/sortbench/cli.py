@@ -147,16 +147,19 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     # fits use median summary rows when present, and only verified runs
     medians = [r for r in records if r.rep == "median" and r.verified]
     rows = medians if medians else [r for r in records if r.verified]
-    unmeasured = [r for r in rows if getattr(r, args.column) is None]
-    if unmeasured:
-        raise ValueError(
-            f"no {args.column} value in {len(unmeasured)} row(s): "
-            + "; ".join(
-                f"{r.algo} n={r.n} dist={r.dist} seed={r.seed} rep={r.rep}"
-                for r in unmeasured
-            )
-            + "; counters are measured only with --count"
+    if args.column == "seconds":
+        refused = [r for r in rows if r.comparisons is not None]
+        head = f"{len(refused)} row(s) timed with --count"
+        why = "their seconds include the counting wrapper; fit a run without --count"
+    else:
+        refused = [r for r in rows if r.comparisons is None]
+        head = f"no comparisons value in {len(refused)} row(s)"
+        why = "counters are measured only with --count"
+    if refused:
+        named = "; ".join(
+            f"{r.algo} n={r.n} dist={r.dist} seed={r.seed} rep={r.rep}" for r in refused
         )
+        raise ValueError(f"{head}: {named}; {why}")
     points = [(r.n, float(getattr(r, args.column))) for r in rows]
     result = fit_constant(points, args.model)
     sys.stdout.write(

@@ -4,9 +4,10 @@ A comparator is a callable ``cmp(a, b)`` returning a negative int when ``a``
 precedes ``b``, zero when their keys are equal, and a positive int when ``a``
 succeeds ``b``.  It must implement a strict weak ordering and be deterministic
 within a run; the library documents but does not detect violations.
-Outside the contract a sort still terminates and leaves a permutation.  A
-comparator that answers the same pair two ways in a row ends the in-place
-merge's walk of a one-element run where the co-rank search would ask again.
+Outside the contract every function still terminates, and a sort leaves a
+permutation: the in-place merge's co-rank search ends where a test fires at
+its upper bound, and its walk of a one-element run ends where a pair asked
+twice gets two answers, neither of which a deterministic comparator can do.
 
 The public API takes three-way comparators; internally every module compares
 through a less-than predicate built once per call by :func:`as_less`.  The

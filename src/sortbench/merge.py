@@ -14,26 +14,23 @@ Two strategies with identical (stable) output:
   larger keeps the stack depth (and hence extra space) logarithmic even for
   adversarially skewed splits.
 
-The middle block always has even length 2k and must be rotated by k: a
-block exchange of its two halves, which :func:`rotation._swap_halves` does
-directly with 2k writes.  Both merges compare through the less-than
-predicate of :func:`comparator.as_less`, built once per public call.
+Both merges compare through the less-than predicate of
+:func:`comparator.as_less`, built once per public call.
 
-A merge node of the in-place merge makes no further Python call in the
-common case.  It runs the paper's bidirectional co-rank search inline (the
-search that ``tests/helpers.paper_co_rank`` replays, not the one-test lower
-bound of :mod:`coranking`); it exchanges a single pair (k = 1,
-about two-thirds of all exchanges in a uniform sort) by one tuple swap and
-calls :func:`rotation._swap_halves` only for larger blocks; and it enters no
-node for a side with an empty run, only recording the depth that node would
-have reached.  Two searches are trivial and skip the search's set-up: runs
-already in order end the node at the search's first test, and a run of one
-element walks through the other run pair by pair, asking at each step the
-search's two tests of the same pair (most searches of a uniform sort are
-one of the two).  Comparisons, moves and peak depth are those of the plain
-recursion.
-The buffered merge rejects a sequence without list slice assignment (a
-``deque``, an ``array.array``) with a TypeError that says so.
+A merge node of the in-place merge makes no Python call but its recursion.
+It runs the paper's bidirectional co-rank search inline (the search that
+``tests/helpers.paper_co_rank`` replays, not the one-test lower bound of
+:mod:`coranking`).  The middle block has even length 2k and is rotated by k,
+a block exchange of its halves with 2k writes: one tuple swap for a single
+pair (about two-thirds of all exchanges in a uniform sort), else a loop of
+pair swaps.  A side with an empty run gets no node, only the depth that node
+would have reached.  Two searches skip the search's set-up: runs already in
+order end the node at the search's first test, and a run of one element
+walks through the other run pair by pair, asking at each step the search's
+two tests of the same pair.  Comparisons, moves and peak depth are those of
+the plain recursion.  The buffered merge rejects a sequence without list
+slice assignment (a ``deque``, an ``array.array``) with a TypeError that
+says so.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ from time import perf_counter
 from typing import Any, MutableSequence
 
 from .comparator import Comparator, Less, as_less, default_compare
-from .rotation import _swap_halves
 
 
 class MergeDepthGauge:
@@ -216,11 +212,23 @@ def _merge_inplace(
         k_low = 0
         k_high = m
         k = (m + 1) >> 1
+        # A test fires when its branch below is taken.  Once k reaches
+        # k_high, a deterministic comparator fires neither test 1 (the if)
+        # nor test 2 (the elif): test 1 there was asked and failed (or
+        # k_high = m), and k got there by test 1 firing at k_high - 1, whose
+        # pair test 2 asks again.  Ending the search when a test fires at
+        # k == k_high so leaves the counted work alone, and ends it for any
+        # comparator: every other firing narrows [k_low, k_high], except
+        # test 1 at k_low, after which k > k_low and the next firing must.
         while True:
             if k < m and less(a[mid + k], a[mid - k - 1]):
+                if k == k_high:
+                    break
                 k_low = k
                 k += (k_high - k + 1) >> 1
             elif k > 0 and not less(a[mid + k - 1], a[mid - k]):
+                if k == k_high:
+                    break
                 k_high = k
                 k -= (k - k_low + 1) >> 1
             else:
@@ -238,7 +246,10 @@ def _merge_inplace(
         if k == 1:
             a[mid - 1], a[mid] = a[mid], a[mid - 1]
         else:
-            _swap_halves(a, mid - k, k)
+            for x in range(mid - k, mid):
+                y = x + k
+                a[x], a[y] = a[y], a[x]
+            x = y = 0
         if phases is not None:
             phases.rotation_seconds += perf_counter() - t0
         # halves are independent: recurse into the smaller, loop on the

@@ -10,10 +10,11 @@ the outer loop when all cycles are done.
 Rotating a span of even length by half of it is a block exchange (Gries &
 Mills, "Swapping sections", 1981): its cycles all have length 2, so
 :func:`_swap_halves` swaps the two halves element by element instead, still
-with exactly n writes and no allocation.  This is the only rotation the
-in-place merge asks for.  The swap indexes one element at a time, never
-slices, so it works on every mutable sequence (a ``deque`` has no slice
-assignment, and a numpy slice is a view).
+with exactly n writes and no allocation.  The in-place merge rotates only
+such blocks and runs that swap loop inline, so it calls nothing here.  The
+swap indexes one element at a time, never slices, so it works on every
+mutable sequence (a ``deque`` has no slice assignment, and a numpy slice is
+a view).
 
 Rotation never compares elements; it only moves them.
 """
@@ -82,13 +83,11 @@ def rotate_right(
 
 def _swap_halves(a: MutableSequence[Any], lo: int, k: int) -> None:
     # Exchange a[lo:lo+k] with a[lo+k:lo+2k]: 2k writes, no allocation.
-    # Callers guarantee valid bounds; k = 0 writes nothing (the merge passes
-    # it only when a comparator answers one pair two ways).
-    if k == 1:
-        a[lo], a[lo + 1] = a[lo + 1], a[lo]
-        return
+    # The in-place merge runs the same loop inline.  Callers guarantee k >= 1
+    # and valid bounds.
     for x in range(lo, lo + k):
-        a[x], a[x + k] = a[x + k], a[x]
+        y = x + k
+        a[x], a[y] = a[y], a[x]
 
 
 def _rotate(a: MutableSequence[Any], r: int, lo: int, n: int) -> None:

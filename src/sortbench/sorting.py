@@ -4,22 +4,22 @@ Both strategies split at ``mid = n // 2`` on every level and produce
 identical, stable output; they differ only in how adjacent runs are merged:
 
 * ``MergeStrategy.BUFFERED``: classic mergesort, O(n) scratch space.  The
-  scratch buffer is allocated once per sort and reused across merge levels;
-  pass ``per_merge_scratch=True`` to allocate and release it inside every
-  merge call instead.
+  scratch buffer is allocated once per sort and reused across merge levels.
 * ``MergeStrategy.INPLACE``: no scratch buffer; extra space is the O(log n)
   recursion bookkeeping of sort driver plus in-place merge.
 
 No small-array cutoff to another sort: these are deliberately plain
 implementations so measured comparison counts reflect the algorithms
-themselves.
+themselves.  The in-place driver sorts a two-element half without a driver
+call or a merge node, but that is the merge node ``merge(1, 1)`` done inline,
+with its comparisons, moves and depth, not another sort.
 """
 
 from __future__ import annotations
 
-import time
 from enum import Enum
-from typing import Any, MutableSequence, Sequence
+from time import perf_counter
+from typing import Any, MutableSequence
 
 from .comparator import Comparator, Less, as_less, default_compare
 from .instrumentation import SortStats, counting_comparator
@@ -36,7 +36,6 @@ def mergesort(
     compare: Comparator = default_compare,
     strategy: MergeStrategy = MergeStrategy.INPLACE,
     stats: SortStats | None = None,
-    per_merge_scratch: bool = False,
     phases: PhaseTimes | None = None,
 ) -> None:
     """Stably sort ``seq`` in place, ascending under ``compare``.
@@ -54,13 +53,14 @@ def mergesort(
             gauge = MergeDepthGauge()
     less = as_less(compare)
     moves_before = getattr(seq, "move_count", 0)
-    t0 = time.perf_counter()
+    t0 = perf_counter()
     if strategy is MergeStrategy.BUFFERED:
-        scratch = None if per_merge_scratch else [None] * n
-        _sort_buffered(seq, 0, n, less, scratch)
-    elif n > 1:
+        _sort_buffered(seq, 0, n, less, [None] * n)
+    elif n > 2:
         _sort_inplace(seq, 0, n, less, gauge, phases)
-    elapsed = time.perf_counter() - t0
+    elif n == 2:
+        _sort_pair(seq, 0, less, gauge, phases)
+    elapsed = perf_counter() - t0
     if stats is not None:
         stats.wall_seconds = elapsed
         stats.max_merge_depth = gauge.peak if gauge is not None else 0
@@ -75,13 +75,47 @@ def _sort_inplace(
     gauge: MergeDepthGauge | None,
     phases: PhaseTimes | None,
 ) -> None:
-    # callers guarantee n > 1, so both halves are nonempty
+    # callers guarantee n > 2, so both halves are nonempty
     mid = n >> 1
-    if mid > 1:
+    if mid > 2:
         _sort_inplace(a, lo, mid, less, gauge, phases)
-    if n - mid > 1:
+    elif mid == 2:
+        _sort_pair(a, lo, less, gauge, phases)
+    if n - mid > 2:
         _sort_inplace(a, lo + mid, n - mid, less, gauge, phases)
+    elif n - mid == 2:
+        _sort_pair(a, lo + mid, less, gauge, phases)
     _merge_inplace(a, lo, mid, n - mid, less, gauge, phases)
+
+
+def _sort_pair(
+    a: MutableSequence[Any],
+    lo: int,
+    less: Less,
+    gauge: MergeDepthGauge | None,
+    phases: PhaseTimes | None,
+) -> None:
+    # the merge node merge(1, 1) of a[lo:lo+2], inline: its first test, the
+    # walk's repeat of the same test, and a swap only if both fire; depth 1,
+    # or 2 when it swaps, and the same co-rank/rotation split of wall time
+    if gauge is not None:
+        depth = gauge.current + 1
+        if depth > gauge.peak:
+            gauge.peak = depth
+    if phases is not None:
+        t0 = perf_counter()
+    if less(a[lo + 1], a[lo]) and less(a[lo + 1], a[lo]):
+        if phases is not None:
+            t1 = perf_counter()
+            phases.corank_seconds += t1 - t0
+        a[lo], a[lo + 1] = a[lo + 1], a[lo]
+        if phases is not None:
+            t0 = perf_counter()
+            phases.rotation_seconds += t0 - t1
+        if gauge is not None and depth >= gauge.peak:
+            gauge.peak = depth + 1
+    if phases is not None:
+        phases.corank_seconds += perf_counter() - t0
 
 
 def _sort_buffered(
@@ -89,26 +123,10 @@ def _sort_buffered(
     lo: int,
     n: int,
     less: Less,
-    scratch: list[Any] | None,
+    scratch: list[Any],
 ) -> None:
     if n > 1:
         mid = n >> 1
         _sort_buffered(a, lo, mid, less, scratch)
         _sort_buffered(a, lo + mid, n - mid, less, scratch)
         _merge_buffered(a, lo, mid, n - mid, less, scratch)
-
-
-def insertion_sorted(
-    seq: Sequence[Any], compare: Comparator = default_compare
-) -> list[Any]:
-    """Return a stably sorted copy via insertion sort.
-
-    O(n^2) reference oracle: trivially stable, independent of the merge path.
-    """
-    out: list[Any] = []
-    for x in seq:
-        pos = len(out)
-        while pos > 0 and compare(out[pos - 1], x) > 0:
-            pos -= 1
-        out.insert(pos, x)
-    return out

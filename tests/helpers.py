@@ -1,9 +1,10 @@
 """Shared oracles and fixtures for the test suite.
 
-The oracles deliberately stay brute force (two-pointer merges, full copies)
-so they remain independent of the code paths they check.  The one exception
-is ``paper_co_rank``, a copy of the search the in-place merge runs inline,
-kept here so the merge's comparator calls can be replayed exactly.
+The oracles deliberately stay brute force (insertion sort, two-pointer
+merges, full copies) so they remain independent of the code paths they
+check.  The one exception is ``paper_co_rank``, a copy of the search the
+in-place merge runs inline, kept here so the merge's comparator calls can be
+replayed exactly.
 """
 
 from __future__ import annotations
@@ -14,6 +15,20 @@ from typing import Any, Sequence
 from sortbench.comparator import Comparator, default_compare
 from sortbench.instrumentation import TaggedElement
 from sortbench.rotation import rotate_left
+
+
+def insertion_sorted(
+    seq: Sequence[Any], compare: Comparator = default_compare
+) -> list[Any]:
+    """Return a stably sorted copy via insertion sort: O(n^2), trivially
+    stable, independent of the merge path."""
+    out: list[Any] = []
+    for x in seq:
+        pos = len(out)
+        while pos > 0 and compare(out[pos - 1], x) > 0:
+            pos -= 1
+        out.insert(pos, x)
+    return out
 
 
 def stable_merge_oracle(
@@ -145,6 +160,28 @@ def changing_comparator(seed: int, cap: int) -> CappedComparator:
     return CappedComparator(lambda x, y: rng.choice((-1, 0, 1)), cap)
 
 
+def scripted_comparator(
+    prefix: Sequence[int], cycle: Sequence[int], cap: int, honest: int = 0
+) -> CappedComparator:
+    """Comparator whose answer depends only on its call count, whatever its
+    arguments: the first ``honest`` calls answer as ``default_compare``,
+    the next ones read ``prefix`` in turn, and then ``cycle`` repeats
+    forever.  Raises CallCapExceeded past ``cap``."""
+    calls = 0
+
+    def compare(x: Any, y: Any) -> int:
+        nonlocal calls
+        calls += 1
+        if calls <= honest:
+            return default_compare(x, y)
+        t = calls - honest - 1
+        if t < len(prefix):
+            return prefix[t]
+        return cycle[(t - len(prefix)) % len(cycle)]
+
+    return CappedComparator(compare, cap)
+
+
 def paper_co_rank(
     i: int, a: Sequence[Any], b: Sequence[Any], compare: Comparator
 ) -> tuple[int, int]:
@@ -153,7 +190,9 @@ def paper_co_rank(
     moves the split by half the remaining slack in either direction: one
     test lowers ``j``, a second raises it back.  Both ask "does ``b[i-t-1]``
     strictly precede ``a[t]``?" as ``compare(x, y) < 0``, so its comparator
-    calls are the ones the merge's search must make."""
+    calls are the ones the merge's search must make.  A test that fires at
+    ``j == j_low`` ends the search, as in the merge: a deterministic
+    comparator never fires one there, and any other cannot loop."""
     na = len(a)
     nb = len(b)
     j = i if i < na else na
@@ -162,12 +201,16 @@ def paper_co_rank(
     k_low = i - na if i > na else 0
     while True:
         if j > 0 and k < nb and compare(b[k], a[j - 1]) < 0:
+            if j == j_low:
+                return j, k
             # too many taken from a: give half the slack back
             delta = (j - j_low + 1) >> 1
             k_low = k
             j -= delta
             k += delta
         elif k > 0 and j < na and not compare(b[k - 1], a[j]) < 0:
+            if j == j_low:
+                return j, k
             # too many taken from b (ties must come from a first)
             delta = (k - k_low + 1) >> 1
             j_low = j
@@ -199,3 +242,18 @@ def reference_merge_inplace(
         else:
             reference_merge_inplace(seq, mid, k, n2 - k, compare)
             n1, n2 = j, n1 - j
+
+
+def reference_mergesort(
+    seq: list[Any], compare: Comparator, lo: int = 0, n: int | None = None
+) -> None:
+    """Top-down mergesort of ``seq[lo:lo+n]`` split at ``n >> 1``, merging
+    with ``reference_merge_inplace``: the plain recursion whose comparator
+    calls the in-place sort must make."""
+    if n is None:
+        n = len(seq) - lo
+    if n > 1:
+        mid = n >> 1
+        reference_mergesort(seq, compare, lo, mid)
+        reference_mergesort(seq, compare, lo + mid, n - mid)
+        reference_merge_inplace(seq, lo, mid, n - mid, compare)

@@ -168,3 +168,30 @@ def test_fit_refuses_rows_without_comparisons(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["points"] == 3
+
+
+def test_fit_refuses_seconds_of_count_mode_rows(tmp_path, capsys):
+    # a --count run times the counting wrapper too, so its seconds do not
+    # fit the sort's time; its comparisons do
+    report = tmp_path / "counted.csv"
+    code, _, _ = run_cli(
+        capsys,
+        "sweep", "--n-min", "64", "--n-max", "256", "--steps", "3",
+        "--algo", "buffered", "--count", "--out", str(report),
+    )
+    assert code == 0
+    code, out, err = run_cli(
+        capsys,
+        "fit", "--input", str(report), "--column", "seconds", "--model", "nlogn",
+    )
+    assert code == 2
+    assert out == ""
+    assert "3 row(s) timed with --count" in err
+    for n in (64, 128, 256):
+        assert f"buffered n={n} dist=uniform seed=42 rep=median" in err
+    code, out, _ = run_cli(
+        capsys,
+        "fit", "--input", str(report), "--column", "comparisons", "--model", "nlogn",
+    )
+    assert code == 0
+    assert json.loads(out)["points"] == 3

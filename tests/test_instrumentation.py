@@ -8,7 +8,9 @@ from sortbench.instrumentation import (
     verify_sorted,
     verify_stable_permutation,
 )
-from sortbench.sorting import MergeStrategy, insertion_sorted, mergesort
+from sortbench.sorting import MergeStrategy, mergesort
+
+from helpers import insertion_sorted
 
 
 def test_counting_comparator_counts_each_call():

@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sortbench.comparator import default_compare
 from sortbench.instrumentation import SortStats, counting_comparator
@@ -19,6 +19,7 @@ from sortbench.merge import (
 from helpers import (
     RecordingList,
     reference_merge_inplace,
+    scripted_comparator,
     sorted_random_run,
     stable_merge_oracle,
 )
@@ -107,7 +108,7 @@ def test_buffered_accepts_preallocated_scratch():
 
 def test_middle_block_even_and_rotated_by_half():
     # every middle block a[x:x+2k] is rotated by k, an exchange of its halves,
-    # whether the merge swaps one pair itself or calls _swap_halves: the
+    # whether the merge swaps a single pair or loops over k pairs: the
     # writes are k pairs (x+t, x+t+k), t = 0..k-1, one block after another
     rng = random.Random(37)
     start = 7
@@ -260,3 +261,34 @@ def test_phase_times_accumulate_in_a_walk():
     assert phases.corank_seconds > 0.0
     assert phases.rotation_seconds > 0.0
     assert base == sorted(base)
+
+
+def test_search_terminates_when_one_pair_is_answered_two_ways():
+    # -1, 1, 1, then -1 forever: the search's first test fires at its upper
+    # bound k_high again and again, which no deterministic comparator can
+    # make it do; the merge must end there and leave a permutation
+    compare = scripted_comparator([-1, 1, 1], [-1], cap=10_000)
+    a = list(range(20))
+    merge_inplace(a, 10, 10, compare)
+    assert sorted(a) == list(range(20))
+    assert compare.calls < 100
+
+
+answers = st.lists(st.integers(min_value=-1, max_value=1), max_size=8)
+cycles = st.lists(st.integers(min_value=-1, max_value=1), min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=0, max_value=30),
+    answers,
+    cycles,
+)
+def test_inplace_terminates_when_answers_follow_the_call_count(n1, n2, prefix, cycle):
+    # answers picked by the call count alone, a script and then a cycle:
+    # every search and walk must end, and the runs stay a permutation
+    compare = scripted_comparator(prefix, cycle, cap=100_000)
+    a = list(range(n1 + n2))
+    merge_inplace(a, n1, n2, compare)
+    assert sorted(a) == list(range(n1 + n2))

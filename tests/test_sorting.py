@@ -19,13 +19,16 @@ from sortbench.instrumentation import (
     key_comparator,
     verify_stable_permutation,
 )
-from sortbench.merge import PhaseTimes
-from sortbench.sorting import MergeStrategy, insertion_sorted, mergesort
+from sortbench.merge import PhaseTimes, merge_buffered
+from sortbench.sorting import MergeStrategy, mergesort
 
 from helpers import (
     CappedComparator,
     TableComparator,
     changing_comparator,
+    insertion_sorted,
+    reference_mergesort,
+    scripted_comparator,
     stable_merge_oracle,
 )
 
@@ -77,14 +80,60 @@ def test_insertion_sorted_reference():
         assert insertion_sorted(list(perm)) == sorted(perm)
 
 
+def logged_key_comparator(log):
+    # compares (key, tag) pairs by key and logs the tags of every call
+    def compare(x, y):
+        log.append((x[1], y[1]))
+        return default_compare(x[0], y[0])
+
+    return compare
+
+
 def test_per_merge_scratch_mode_identical():
+    # the buffered sort reuses one scratch buffer across all merges; a
+    # top-down replay whose merges each allocate their own (scratch=None)
+    # must ask the same comparisons and give the same output
+    def replay(a, lo, n, compare):
+        if n > 1:
+            mid = n >> 1
+            replay(a, lo, mid, compare)
+            replay(a, lo + mid, n - mid, compare)
+            merge_buffered(a, mid, n - mid, compare, lo, scratch=None)
+
     rng = random.Random(17)
-    values = [rng.randrange(50) for _ in range(997)]
-    reused = list(values)
-    per_merge = list(values)
-    mergesort(reused, strategy=MergeStrategy.BUFFERED)
-    mergesort(per_merge, strategy=MergeStrategy.BUFFERED, per_merge_scratch=True)
-    assert reused == per_merge == sorted(values)
+    tagged = [(rng.randrange(50), t) for t in range(997)]
+    reused, per_merge = list(tagged), list(tagged)
+    reused_log, per_merge_log = [], []
+    mergesort(reused, logged_key_comparator(reused_log), MergeStrategy.BUFFERED)
+    replay(per_merge, 0, len(per_merge), logged_key_comparator(per_merge_log))
+    assert reused_log == per_merge_log
+    assert reused == per_merge == sorted(tagged)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=4), max_size=70))
+def test_inplace_sort_asks_the_comparisons_of_the_plain_recursion(keys):
+    # the driver sorts two-element halves without a merge node and the
+    # merge runs its search inline; together they must ask the same pairs,
+    # in the same order, as helpers.reference_mergesort
+    tagged = [(k, t) for t, k in enumerate(keys)]
+    got, want = list(tagged), list(tagged)
+    got_log, want_log = [], []
+    mergesort(got, logged_key_comparator(got_log))
+    reference_mergesort(want, logged_key_comparator(want_log))
+    assert got_log == want_log
+    assert got == want
+
+
+def test_two_element_sort_records_the_merge_node_depth():
+    # a two-element sort is the merge node merge(1, 1): depth 1, and 2 when
+    # it exchanges the pair
+    for pair, comparisons, depth in (([1, 2], 1, 1), ([1, 1], 1, 1), ([2, 1], 2, 2)):
+        stats = SortStats()
+        a = list(pair)
+        mergesort(a, stats=stats)
+        assert a == sorted(pair)
+        assert (stats.comparisons, stats.max_merge_depth) == (comparisons, depth), pair
 
 
 def test_stats_populated():
@@ -272,6 +321,45 @@ def test_sort_terminates_when_answers_change_between_calls(n, seed, strategy):
     # where the co-rank search would ask again; the sort must still end and
     # leave a permutation
     compare = changing_comparator(seed, cap=100_000)
+    a = list(range(n))
+    mergesort(a, compare, strategy)
+    assert sorted(a) == list(range(n))
+
+
+def test_sort_terminates_when_the_search_is_asked_one_pair_two_ways():
+    # the halves sort honestly; then the top merge's search hears -1, 1, 1
+    # and -1 forever, so its first test fires at the search's upper bound
+    # again and again, which no deterministic comparator can make it do
+    honest = 0
+    for half in (list(range(10)), list(range(10, 20))):
+        stats = SortStats()
+        mergesort(half, stats=stats)
+        honest += stats.comparisons
+    compare = scripted_comparator([-1, 1, 1], [-1], cap=10_000, honest=honest)
+    a = list(range(20))
+    mergesort(a, compare)
+    assert sorted(a) == list(range(20))
+    assert compare.calls < 100
+
+
+answers = st.lists(st.integers(min_value=-1, max_value=1), max_size=8)
+cycles = st.lists(st.integers(min_value=-1, max_value=1), min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=200),
+    answers,
+    cycles,
+    st.sampled_from(list(MergeStrategy)),
+)
+def test_sort_terminates_when_answers_follow_the_call_count(
+    n, honest, prefix, cycle, strategy
+):
+    # answers picked by the call count alone: honest at first, then a
+    # script, then a cycle; the sort must still end and leave a permutation
+    compare = scripted_comparator(prefix, cycle, cap=100_000, honest=honest)
     a = list(range(n))
     mergesort(a, compare, strategy)
     assert sorted(a) == list(range(n))
