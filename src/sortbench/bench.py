@@ -161,25 +161,15 @@ def _run_once(config: BenchConfig, rep: int, rep_seed: int) -> BenchRecord:
         else None
     )
 
+    t0 = time.perf_counter()
     if config.algorithm == "system":
         # timing reference: the native sort runs at full speed unless counting
         key = None if stats is None else cmp_to_key(counting_comparator(compare, stats))
-        t0 = time.perf_counter()
         arr.sort(key=key)
-        seconds = time.perf_counter() - t0
     else:
-        strategy = (
-            MergeStrategy.INPLACE
-            if config.algorithm == "inplace"
-            else MergeStrategy.BUFFERED
-        )
-        if stats is not None:
-            mergesort(arr, compare, strategy, stats=stats, phases=phases)
-            seconds = stats.wall_seconds
-        else:
-            t0 = time.perf_counter()
-            mergesort(arr, compare, strategy, phases=phases)
-            seconds = time.perf_counter() - t0
+        strategy = MergeStrategy(config.algorithm)
+        mergesort(arr, compare, strategy, stats=stats, phases=phases)
+    seconds = time.perf_counter() - t0
 
     if config.tagged:
         verified = verify_stable_permutation(original, arr)

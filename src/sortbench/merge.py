@@ -28,7 +28,10 @@ would have reached.  Two searches skip the search's set-up: runs already in
 order end the node at the search's first test, and a run of one element
 walks through the other run pair by pair, asking at each step the search's
 two tests of the same pair.  Comparisons, moves and peak depth are those of
-the plain recursion.  The buffered merge rejects a sequence without list
+the plain recursion.  One optional observer, :class:`MergeDepthGauge`
+(also named ``PhaseTimes``), records the peak depth and times co-ranking vs
+exchange; each node gets its depth as an argument, so nothing needs undoing
+when a comparator raises.  The buffered merge rejects a sequence without list
 slice assignment (a ``deque``, an ``array.array``) with a TypeError that
 says so.
 """
@@ -39,26 +42,23 @@ from time import perf_counter
 from typing import Any, MutableSequence
 
 from .comparator import Comparator, Less, as_less, default_compare
+from .instrumentation import SortStats, counting_comparator
 
 
 class MergeDepthGauge:
-    """Tracks current and peak recursion depth of in-place merging."""
+    """Observer of in-place merging: peak recursion depth, and the wall time
+    spent co-ranking vs exchanging middle blocks."""
 
-    __slots__ = ("current", "peak")
+    __slots__ = ("peak", "corank_seconds", "rotation_seconds")
 
     def __init__(self) -> None:
-        self.current = 0
         self.peak = 0
-
-
-class PhaseTimes:
-    """Wall-time attribution of in-place merging: co-ranking vs rotation."""
-
-    __slots__ = ("corank_seconds", "rotation_seconds")
-
-    def __init__(self) -> None:
         self.corank_seconds = 0.0
         self.rotation_seconds = 0.0
+
+
+# the same observer, named for the phase times it accumulates
+PhaseTimes = MergeDepthGauge
 
 
 def _check_runs(seq: MutableSequence[Any], n1: int, n2: int, start: int) -> None:
@@ -141,16 +141,15 @@ def merge_inplace(
     compare: Comparator = default_compare,
     start: int = 0,
     gauge: MergeDepthGauge | None = None,
-    phases: PhaseTimes | None = None,
 ) -> None:
     """Stably merge two adjacent sorted runs without a scratch buffer.
 
     Output is identical, element for element, to :func:`merge_buffered` on
-    the same input.  ``gauge``, when given, records recursion depth;
-    ``phases`` accumulates co-ranking vs rotation wall time.
+    the same input.  ``gauge``, when given, records the peak recursion depth
+    and accumulates co-ranking vs rotation wall time.
     """
     _check_runs(seq, n1, n2, start)
-    _merge_inplace(seq, start, n1, n2, as_less(compare), gauge, phases)
+    _merge_inplace(seq, start, n1, n2, as_less(compare), gauge, 1)
 
 
 def _merge_inplace(
@@ -160,17 +159,13 @@ def _merge_inplace(
     n2: int,
     less: Less,
     gauge: MergeDepthGauge | None,
-    phases: PhaseTimes | None,
+    depth: int,
 ) -> None:
-    depth = 0
-    if gauge is not None:
-        depth = gauge.current + 1
-        gauge.current = depth
-        if depth > gauge.peak:
-            gauge.peak = depth
+    if gauge is not None and depth > gauge.peak:
+        gauge.peak = depth
     while n1 > 0 and n2 > 0:
         mid = lo + n1
-        if phases is not None:
+        if gauge is not None:
             t0 = perf_counter()
         # co-rank i = n1 over a[lo:mid] and a[mid:mid+n2], inline: the
         # paper's bidirectional search (tests/helpers.paper_co_rank), asking
@@ -180,8 +175,8 @@ def _merge_inplace(
         # Its first test, at k = 0, is peeled: if it does not fire, the runs
         # are already in order and both halves are base cases.
         if not less(a[mid], a[mid - 1]):
-            if phases is not None:
-                phases.corank_seconds += perf_counter() - t0
+            if gauge is not None:
+                gauge.corank_seconds += perf_counter() - t0
             break
         if n1 == 1 or n2 == 1:
             # one element walks through the other run, one node per step:
@@ -192,20 +187,20 @@ def _merge_inplace(
             # answers the second test otherwise also ends it.
             step, stop = (1, mid + n2) if n1 == 1 else (-1, lo)
             while less(a[mid], a[mid - 1]):
-                if phases is not None:
+                if gauge is not None:
                     t1 = perf_counter()
-                    phases.corank_seconds += t1 - t0
+                    gauge.corank_seconds += t1 - t0
                 a[mid - 1], a[mid] = a[mid], a[mid - 1]
-                if phases is not None:
+                if gauge is not None:
                     t0 = perf_counter()
-                    phases.rotation_seconds += t0 - t1
-                if gauge is not None and depth >= gauge.peak:
-                    gauge.peak = depth + 1
+                    gauge.rotation_seconds += t0 - t1
+                    if depth >= gauge.peak:
+                        gauge.peak = depth + 1
                 mid += step
                 if mid == stop or not less(a[mid], a[mid - 1]):
                     break
-            if phases is not None:
-                phases.corank_seconds += perf_counter() - t0
+            if gauge is not None:
+                gauge.corank_seconds += perf_counter() - t0
             break
         # the search goes on where the first test, having fired, leaves it
         m = n1 if n1 < n2 else n2
@@ -234,15 +229,15 @@ def _merge_inplace(
             else:
                 break
         j = n1 - k
-        if phases is not None:
-            phases.corank_seconds += perf_counter() - t0
         # ints above 256 are heap objects: drop them before recursing, or
         # every frame on the stack keeps its own (tracemalloc sees them)
         k_low = k_high = m = 0
+        # the search's end is the exchange's start
+        if gauge is not None:
+            t1 = perf_counter()
+            gauge.corank_seconds += t1 - t0
         # middle block a[mid-k : mid+k]: exchange its halves (a comparator
         # that answers one pair two ways can leave k = 0: nothing moves)
-        if phases is not None:
-            t0 = perf_counter()
         if k == 1:
             a[mid - 1], a[mid] = a[mid], a[mid - 1]
         else:
@@ -250,25 +245,23 @@ def _merge_inplace(
                 y = x + k
                 a[x], a[y] = a[y], a[x]
             x = y = 0
-        if phases is not None:
-            phases.rotation_seconds += perf_counter() - t0
+        if gauge is not None:
+            gauge.rotation_seconds += perf_counter() - t1
         # halves are independent: recurse into the smaller, loop on the
         # larger; a side with an empty run needs no node, only its depth
         if n1 <= n2:
             if j > 0:
-                _merge_inplace(a, lo, j, k, less, gauge, phases)
+                _merge_inplace(a, lo, j, k, less, gauge, depth + 1)
             elif gauge is not None and depth >= gauge.peak:
                 gauge.peak = depth + 1
             lo = mid
             n1, n2 = k, n2 - k
         else:
             if k < n2:
-                _merge_inplace(a, mid, k, n2 - k, less, gauge, phases)
+                _merge_inplace(a, mid, k, n2 - k, less, gauge, depth + 1)
             elif gauge is not None and depth >= gauge.peak:
                 gauge.peak = depth + 1
             n1, n2 = j, k
-    if gauge is not None:
-        gauge.current -= 1
 
 
 def count_inplace_merge_comparisons(
@@ -280,12 +273,6 @@ def count_inplace_merge_comparisons(
 ) -> int:
     """Run :func:`merge_inplace` with a counting comparator and return the
     number of comparator invocations."""
-    calls = 0
-
-    def counted(x: Any, y: Any) -> int:
-        nonlocal calls
-        calls += 1
-        return compare(x, y)
-
-    merge_inplace(seq, n1, n2, counted, start)
-    return calls
+    stats = SortStats()
+    merge_inplace(seq, n1, n2, counting_comparator(compare, stats), start)
+    return stats.comparisons

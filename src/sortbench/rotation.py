@@ -9,9 +9,9 @@ the outer loop when all cycles are done.
 
 Rotating a span of even length by half of it is a block exchange (Gries &
 Mills, "Swapping sections", 1981): its cycles all have length 2, so
-:func:`_swap_halves` swaps the two halves element by element instead, still
-with exactly n writes and no allocation.  The in-place merge rotates only
-such blocks and runs that swap loop inline, so it calls nothing here.  The
+the rotation swaps the two halves element by element instead, still with
+exactly n writes and no allocation.  The in-place merge rotates only such
+blocks and runs the same swap loop inline, so it calls nothing here.  The
 swap indexes one element at a time, never slices, so it works on every
 mutable sequence (a ``deque`` has no slice assignment, and a numpy slice is
 a view).
@@ -81,21 +81,15 @@ def rotate_right(
     _rotate(seq, (n - offset) % n, start, n)
 
 
-def _swap_halves(a: MutableSequence[Any], lo: int, k: int) -> None:
-    # Exchange a[lo:lo+k] with a[lo+k:lo+2k]: 2k writes, no allocation.
-    # The in-place merge runs the same loop inline.  Callers guarantee k >= 1
-    # and valid bounds.
-    for x in range(lo, lo + k):
-        y = x + k
-        a[x], a[y] = a[y], a[x]
-
-
 def _rotate(a: MutableSequence[Any], r: int, lo: int, n: int) -> None:
     # Core juggling loop. Callers guarantee 0 <= r < n and valid bounds.
     if r == 0:
         return
     if 2 * r == n:
-        _swap_halves(a, lo, r)
+        # block exchange of a[lo:lo+r] and a[lo+r:lo+n]: n writes, no allocation
+        for x in range(lo, lo + r):
+            y = x + r
+            a[x], a[y] = a[y], a[x]
         return
     hi = lo + n
     work = n  # elements still to move

@@ -12,7 +12,9 @@ No small-array cutoff to another sort: these are deliberately plain
 implementations so measured comparison counts reflect the algorithms
 themselves.  The in-place driver sorts a two-element half without a driver
 call or a merge node, but that is the merge node ``merge(1, 1)`` done inline,
-with its comparisons, moves and depth, not another sort.
+with its comparisons, moves and depth, not another sort.  The driver hands
+one optional observer (:class:`merge.MergeDepthGauge`) to every merge it
+starts, at depth 1.
 """
 
 from __future__ import annotations
@@ -43,13 +45,15 @@ def mergesort(
     When ``stats`` is given, the comparator is wrapped to count invocations
     and the run's wall time, peak merge recursion depth, and (if ``seq``
     counts its own writes, see MoveCountingList) element moves are recorded.
-    ``phases`` is forwarded to the in-place merges for wall-time attribution.
+    ``phases``, a :class:`MergeDepthGauge`, observes the in-place merges:
+    their co-ranking vs rotation wall time and peak depth.  ``stats`` reads
+    the depth from ``phases`` when given, else from a fresh gauge.
     """
     n = len(seq)
-    gauge: MergeDepthGauge | None = None
+    gauge = phases
     if stats is not None:
         compare = counting_comparator(compare, stats)
-        if strategy is MergeStrategy.INPLACE:
+        if gauge is None:
             gauge = MergeDepthGauge()
     less = as_less(compare)
     moves_before = getattr(seq, "move_count", 0)
@@ -57,13 +61,13 @@ def mergesort(
     if strategy is MergeStrategy.BUFFERED:
         _sort_buffered(seq, 0, n, less, [None] * n)
     elif n > 2:
-        _sort_inplace(seq, 0, n, less, gauge, phases)
+        _sort_inplace(seq, 0, n, less, gauge)
     elif n == 2:
-        _sort_pair(seq, 0, less, gauge, phases)
+        _sort_pair(seq, 0, less, gauge)
     elapsed = perf_counter() - t0
     if stats is not None:
         stats.wall_seconds = elapsed
-        stats.max_merge_depth = gauge.peak if gauge is not None else 0
+        stats.max_merge_depth = gauge.peak
         stats.moves = getattr(seq, "move_count", 0) - moves_before
 
 
@@ -73,19 +77,18 @@ def _sort_inplace(
     n: int,
     less: Less,
     gauge: MergeDepthGauge | None,
-    phases: PhaseTimes | None,
 ) -> None:
     # callers guarantee n > 2, so both halves are nonempty
     mid = n >> 1
     if mid > 2:
-        _sort_inplace(a, lo, mid, less, gauge, phases)
+        _sort_inplace(a, lo, mid, less, gauge)
     elif mid == 2:
-        _sort_pair(a, lo, less, gauge, phases)
+        _sort_pair(a, lo, less, gauge)
     if n - mid > 2:
-        _sort_inplace(a, lo + mid, n - mid, less, gauge, phases)
+        _sort_inplace(a, lo + mid, n - mid, less, gauge)
     elif n - mid == 2:
-        _sort_pair(a, lo + mid, less, gauge, phases)
-    _merge_inplace(a, lo, mid, n - mid, less, gauge, phases)
+        _sort_pair(a, lo + mid, less, gauge)
+    _merge_inplace(a, lo, mid, n - mid, less, gauge, 1)
 
 
 def _sort_pair(
@@ -93,29 +96,24 @@ def _sort_pair(
     lo: int,
     less: Less,
     gauge: MergeDepthGauge | None,
-    phases: PhaseTimes | None,
 ) -> None:
     # the merge node merge(1, 1) of a[lo:lo+2], inline: its first test, the
     # walk's repeat of the same test, and a swap only if both fire; depth 1,
     # or 2 when it swaps, and the same co-rank/rotation split of wall time
     if gauge is not None:
-        depth = gauge.current + 1
-        if depth > gauge.peak:
-            gauge.peak = depth
-    if phases is not None:
+        gauge.peak = max(gauge.peak, 1)
         t0 = perf_counter()
     if less(a[lo + 1], a[lo]) and less(a[lo + 1], a[lo]):
-        if phases is not None:
+        if gauge is not None:
             t1 = perf_counter()
-            phases.corank_seconds += t1 - t0
+            gauge.corank_seconds += t1 - t0
         a[lo], a[lo + 1] = a[lo + 1], a[lo]
-        if phases is not None:
+        if gauge is not None:
             t0 = perf_counter()
-            phases.rotation_seconds += t0 - t1
-        if gauge is not None and depth >= gauge.peak:
-            gauge.peak = depth + 1
-    if phases is not None:
-        phases.corank_seconds += perf_counter() - t0
+            gauge.rotation_seconds += t0 - t1
+            gauge.peak = max(gauge.peak, 2)
+    if gauge is not None:
+        gauge.corank_seconds += perf_counter() - t0
 
 
 def _sort_buffered(

