@@ -4,7 +4,8 @@ Two strategies with identical (stable) output:
 
 * :func:`merge_buffered` is the classic two-pointer merge through a scratch
   buffer of the combined run length: O(n) time, O(n) extra space, at most
-  ``n - 1`` comparisons.
+  ``n - 1`` comparisons.  It writes back only what precedes the second run's
+  remaining tail, which already sits in place.
 
 * :func:`merge_inplace` needs no scratch buffer.  It co-ranks the middle
   rank ``i = n1``, exchanges the two halves of the middle block so that
@@ -23,17 +24,18 @@ It runs the paper's bidirectional co-rank search inline (the search that
 :mod:`coranking`).  The middle block has even length 2k and is rotated by k,
 a block exchange of its halves with 2k writes: one tuple swap for a single
 pair (about two-thirds of all exchanges in a uniform sort), else a loop of
-pair swaps.  A side with an empty run gets no node, only the depth that node
-would have reached.  Two searches skip the search's set-up: runs already in
-order end the node at the search's first test, and a run of one element
-walks through the other run pair by pair, asking at each step the search's
-two tests of the same pair.  Comparisons, moves and peak depth are those of
-the plain recursion.  One optional observer, :class:`MergeDepthGauge`
-(also named ``PhaseTimes``), records the peak depth and times co-ranking vs
-exchange; each node gets its depth as an argument, so nothing needs undoing
-when a comparator raises.  The buffered merge rejects a sequence without list
-slice assignment (a ``deque``, an ``array.array``) with a TypeError that
-says so.
+pair swaps.  A side with an empty run gets no node.  Two searches skip the
+search's set-up: runs already in order end the node at the search's first
+test, and a run of one element walks through the other run pair by pair,
+asking at each step the search's two tests of the same pair.  Comparisons,
+moves and peak depth are those of the plain recursion.  One optional
+observer, :class:`MergeDepthGauge` (also named ``PhaseTimes``), records the
+peak depth and times co-ranking vs exchange.  A node records its depth on
+entry, and ``depth + 1`` where its search or walk ends, the depth its
+smaller child reaches whether it is entered or empty; each node gets its
+depth as an argument, so nothing needs undoing when a comparator raises.
+The buffered merge rejects a sequence without list slice assignment (a
+``deque``, an ``array.array``) with a TypeError that says so.
 """
 
 from __future__ import annotations
@@ -77,17 +79,16 @@ def merge_buffered(
     n2: int,
     compare: Comparator = default_compare,
     start: int = 0,
-    scratch: list[Any] | None = None,
 ) -> None:
     """Stably merge the sorted runs ``seq[start:start+n1]`` and
     ``seq[start+n1:start+n1+n2]`` using a scratch buffer.
 
-    Allocates one ``n1 + n2``-slot buffer unless ``scratch`` (of at least that
-    length) is supplied; a MemoryError from that allocation propagates.  Equal
-    keys keep first-run elements ahead of second-run elements.
+    Allocates one ``n1 + n2``-slot buffer; a MemoryError from that allocation
+    propagates.  Equal keys keep first-run elements ahead of second-run
+    elements; a second-run tail already in place is not copied.
     """
     _check_runs(seq, n1, n2, start)
-    _merge_buffered(seq, start, n1, n2, as_less(compare), scratch)
+    _merge_buffered(seq, start, n1, n2, as_less(compare), [None] * (n1 + n2))
 
 
 def _merge_buffered(
@@ -96,17 +97,14 @@ def _merge_buffered(
     n1: int,
     n2: int,
     less: Less,
-    scratch: list[Any] | None,
+    scratch: list[Any],
 ) -> None:
     if n1 == 0 or n2 == 0:
         return
-    n = n1 + n2
-    if scratch is None:
-        scratch = [None] * n
     p = start
     q = start + n1
     end1 = q
-    end2 = start + n
+    end2 = q + n2
     t = 0
     while p < end1 and q < end2:
         if less(seq[q], seq[p]):
@@ -120,12 +118,9 @@ def _merge_buffered(
         scratch[t] = seq[p]
         p += 1
         t += 1
-    while q < end2:
-        scratch[t] = seq[q]
-        q += 1
-        t += 1
+    # a second-run tail seq[q:end2] already sits where it belongs
     try:
-        seq[start:end2] = scratch[:n]
+        seq[start : start + t] = scratch[:t]
     except TypeError as exc:
         raise TypeError(
             f"the buffered merge copies back by slice assignment of a list, "
@@ -194,13 +189,13 @@ def _merge_inplace(
                 if gauge is not None:
                     t0 = perf_counter()
                     gauge.rotation_seconds += t0 - t1
-                    if depth >= gauge.peak:
-                        gauge.peak = depth + 1
                 mid += step
                 if mid == stop or not less(a[mid], a[mid - 1]):
                     break
             if gauge is not None:
                 gauge.corank_seconds += perf_counter() - t0
+                if depth >= gauge.peak:
+                    gauge.peak = depth + 1
             break
         # the search goes on where the first test, having fired, leaves it
         m = n1 if n1 < n2 else n2
@@ -232,10 +227,12 @@ def _merge_inplace(
         # ints above 256 are heap objects: drop them before recursing, or
         # every frame on the stack keeps its own (tracemalloc sees them)
         k_low = k_high = m = 0
-        # the search's end is the exchange's start
+        # the search's end: the exchange's start, the smaller child's depth
         if gauge is not None:
             t1 = perf_counter()
             gauge.corank_seconds += t1 - t0
+            if depth >= gauge.peak:
+                gauge.peak = depth + 1
         # middle block a[mid-k : mid+k]: exchange its halves (a comparator
         # that answers one pair two ways can leave k = 0: nothing moves)
         if k == 1:
@@ -248,19 +245,15 @@ def _merge_inplace(
         if gauge is not None:
             gauge.rotation_seconds += perf_counter() - t1
         # halves are independent: recurse into the smaller, loop on the
-        # larger; a side with an empty run needs no node, only its depth
+        # larger; a side with an empty run needs no node
         if n1 <= n2:
             if j > 0:
                 _merge_inplace(a, lo, j, k, less, gauge, depth + 1)
-            elif gauge is not None and depth >= gauge.peak:
-                gauge.peak = depth + 1
             lo = mid
             n1, n2 = k, n2 - k
         else:
             if k < n2:
                 _merge_inplace(a, mid, k, n2 - k, less, gauge, depth + 1)
-            elif gauge is not None and depth >= gauge.peak:
-                gauge.peak = depth + 1
             n1, n2 = j, k
 
 

@@ -5,7 +5,8 @@ Rotating left by ``r`` moves the element at index ``(s + r) mod n`` to index
 is written exactly once (n writes total) and the only extra storage is one
 temporary slot per cycle.  No gcd is computed: a cycle is detected by the
 index returning to its starting position, and a remaining-work counter tells
-the outer loop when all cycles are done.
+the outer loop when all cycles are done.  Cycles start below
+``lo + gcd(n, r)``, so the first step of a cycle never wraps.
 
 Rotating a span of even length by half of it is a block exchange (Gries &
 Mills, "Swapping sections", 1981): its cycles all have length 2, so
@@ -97,9 +98,8 @@ def _rotate(a: MutableSequence[Any], r: int, lo: int, n: int) -> None:
     while work > 0:
         i = s
         first = a[s]  # keep old first element of the cycle
+        # no wrap yet: a cycle starts at s < lo + gcd(n, r) <= lo + n - r
         nxt = i + r
-        if nxt >= hi:
-            nxt -= n
         while nxt != s:
             a[i] = a[nxt]
             i = nxt

@@ -4,7 +4,8 @@ Both strategies split at ``mid = n // 2`` on every level and produce
 identical, stable output; they differ only in how adjacent runs are merged:
 
 * ``MergeStrategy.BUFFERED``: classic mergesort, O(n) scratch space.  The
-  scratch buffer is allocated once per sort and reused across merge levels.
+  scratch buffer is allocated once per sort and reused across merge levels;
+  a merge leaves the second run's tail where it already is.
 * ``MergeStrategy.INPLACE``: no scratch buffer; extra space is the O(log n)
   recursion bookkeeping of sort driver plus in-place merge.
 
@@ -14,7 +15,7 @@ themselves.  The in-place driver sorts a two-element half without a driver
 call or a merge node, but that is the merge node ``merge(1, 1)`` done inline,
 with its comparisons, moves and depth, not another sort.  The driver hands
 one optional observer (:class:`merge.MergeDepthGauge`) to every merge it
-starts, at depth 1.
+starts, at depth 1: a counted sort's own gauge, else the caller's ``phases``.
 """
 
 from __future__ import annotations
@@ -42,33 +43,32 @@ def mergesort(
 ) -> None:
     """Stably sort ``seq`` in place, ascending under ``compare``.
 
-    When ``stats`` is given, the comparator is wrapped to count invocations
-    and the run's wall time, peak merge recursion depth, and (if ``seq``
-    counts its own writes, see MoveCountingList) element moves are recorded.
-    ``phases``, a :class:`MergeDepthGauge`, observes the in-place merges:
-    their co-ranking vs rotation wall time and peak depth.  ``stats`` reads
-    the depth from ``phases`` when given, else from a fresh gauge.
+    ``stats`` describes this one sort: the comparator is wrapped to count
+    calls, and its wall time, peak merge depth (0 for BUFFERED) and, if
+    ``seq`` counts its writes (see MoveCountingList), moves are recorded.
+    ``phases``, a :class:`PhaseTimes`, covers every sort it observed: their
+    summed co-ranking vs exchange wall time and their largest merge depth.
     """
     n = len(seq)
-    gauge = phases
+    gauge = MergeDepthGauge() if stats is not None else phases
     if stats is not None:
         compare = counting_comparator(compare, stats)
-        if gauge is None:
-            gauge = MergeDepthGauge()
     less = as_less(compare)
     moves_before = getattr(seq, "move_count", 0)
     t0 = perf_counter()
     if strategy is MergeStrategy.BUFFERED:
         _sort_buffered(seq, 0, n, less, [None] * n)
-    elif n > 2:
+    elif n > 1:
         _sort_inplace(seq, 0, n, less, gauge)
-    elif n == 2:
-        _sort_pair(seq, 0, less, gauge)
     elapsed = perf_counter() - t0
     if stats is not None:
         stats.wall_seconds = elapsed
         stats.max_merge_depth = gauge.peak
         stats.moves = getattr(seq, "move_count", 0) - moves_before
+        if phases is not None:
+            phases.peak = max(phases.peak, gauge.peak)
+            phases.corank_seconds += gauge.corank_seconds
+            phases.rotation_seconds += gauge.rotation_seconds
 
 
 def _sort_inplace(
@@ -78,7 +78,7 @@ def _sort_inplace(
     less: Less,
     gauge: MergeDepthGauge | None,
 ) -> None:
-    # callers guarantee n > 2, so both halves are nonempty
+    # callers guarantee n >= 2, so both halves are nonempty
     mid = n >> 1
     if mid > 2:
         _sort_inplace(a, lo, mid, less, gauge)

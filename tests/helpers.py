@@ -220,13 +220,34 @@ def paper_co_rank(
             return j, k
 
 
+class DepthPeak:
+    """Largest depth the reference recursion entered."""
+
+    def __init__(self) -> None:
+        self.peak = 0
+
+    def enter(self, depth: int) -> None:
+        if depth > self.peak:
+            self.peak = depth
+
+
 def reference_merge_inplace(
-    seq: list[Any], lo: int, n1: int, n2: int, compare: Comparator
+    seq: list[Any],
+    lo: int,
+    n1: int,
+    n2: int,
+    compare: Comparator,
+    peak: DepthPeak | None = None,
+    depth: int = 1,
 ) -> None:
     """The in-place merge rebuilt from plain layers: co-rank ``i = n1`` with
     ``paper_co_rank`` on copies of the two runs, rotate the middle block with
-    ``rotate_left`` on a copy, recurse into the smaller side and loop on the
-    larger.  Its comparator calls are the ones the merge must make."""
+    ``rotate_left`` on a copy, recurse into the smaller side (empty or not)
+    and loop on the larger.  Its comparator calls are the ones the merge
+    must make, and ``peak``, when given, records each call's ``depth`` on
+    entry: the peak depth the merge's gauge must read."""
+    if peak is not None:
+        peak.enter(depth)
     while n1 > 0 and n2 > 0:
         mid = lo + n1
         j, k = paper_co_rank(n1, seq[lo:mid], seq[mid : mid + n2], compare)
@@ -236,24 +257,28 @@ def reference_merge_inplace(
         rotate_left(block, k)
         seq[lo + j : mid + k] = block
         if n1 <= n2:
-            reference_merge_inplace(seq, lo, j, n1 - j, compare)
+            reference_merge_inplace(seq, lo, j, n1 - j, compare, peak, depth + 1)
             lo = mid
             n1, n2 = k, n2 - k
         else:
-            reference_merge_inplace(seq, mid, k, n2 - k, compare)
+            reference_merge_inplace(seq, mid, k, n2 - k, compare, peak, depth + 1)
             n1, n2 = j, n1 - j
 
 
 def reference_mergesort(
-    seq: list[Any], compare: Comparator, lo: int = 0, n: int | None = None
+    seq: list[Any],
+    compare: Comparator,
+    lo: int = 0,
+    n: int | None = None,
+    peak: DepthPeak | None = None,
 ) -> None:
     """Top-down mergesort of ``seq[lo:lo+n]`` split at ``n >> 1``, merging
-    with ``reference_merge_inplace``: the plain recursion whose comparator
-    calls the in-place sort must make."""
+    with ``reference_merge_inplace`` at depth 1: the plain recursion whose
+    comparator calls and peak merge depth the in-place sort must have."""
     if n is None:
         n = len(seq) - lo
     if n > 1:
         mid = n >> 1
-        reference_mergesort(seq, compare, lo, mid)
-        reference_mergesort(seq, compare, lo + mid, n - mid)
-        reference_merge_inplace(seq, lo, mid, n - mid, compare)
+        reference_mergesort(seq, compare, lo, mid, peak)
+        reference_mergesort(seq, compare, lo + mid, n - mid, peak)
+        reference_merge_inplace(seq, lo, mid, n - mid, compare, peak)

@@ -17,6 +17,7 @@ from sortbench.merge import (
 )
 
 from helpers import (
+    DepthPeak,
     RecordingList,
     reference_merge_inplace,
     scripted_comparator,
@@ -94,16 +95,6 @@ def test_buffered_comparison_budget():
         stats = SortStats()
         merge_buffered(base, n1, n2, counting_comparator(default_compare, stats))
         assert stats.comparisons <= max(0, n1 + n2 - 1)
-
-
-def test_buffered_accepts_preallocated_scratch():
-    rng = random.Random(31)
-    base = sorted_random_run(rng, 20, None) + sorted_random_run(rng, 30, None)
-    expected = list(base)
-    merge_buffered(expected, 20, 30)
-    got = list(base)
-    merge_buffered(got, 20, 30, scratch=[None] * 64)
-    assert got == expected
 
 
 def test_middle_block_even_and_rotated_by_half():
@@ -217,7 +208,8 @@ dup_runs = st.lists(st.integers(min_value=0, max_value=4), max_size=40).map(sort
 @given(dup_runs, dup_runs, st.integers(min_value=0, max_value=3))
 def test_inplace_asks_the_comparisons_of_co_rank_and_rotate(run1, run2, start):
     # the merge runs the paper's co-rank search inline; it must ask the same
-    # pairs, in the same order, as helpers.paper_co_rank on the same slices
+    # pairs, in the same order, as helpers.paper_co_rank on the same slices,
+    # and its gauge must read the plain recursion's peak depth
     def logged(log):
         def compare(x, y):
             log.append((x[1], y[1]))
@@ -229,10 +221,12 @@ def test_inplace_asks_the_comparisons_of_co_rank_and_rotate(run1, run2, start):
     tagged = prefix + [(k, t) for t, k in enumerate(run1 + run2)]
     got, want = list(tagged), list(tagged)
     got_log, want_log = [], []
-    merge_inplace(got, len(run1), len(run2), logged(got_log), start)
-    reference_merge_inplace(want, start, len(run1), len(run2), logged(want_log))
+    gauge, peak = MergeDepthGauge(), DepthPeak()
+    merge_inplace(got, len(run1), len(run2), logged(got_log), start, gauge)
+    reference_merge_inplace(want, start, len(run1), len(run2), logged(want_log), peak)
     assert got_log == want_log
     assert got == want
+    assert gauge.peak == peak.peak
 
 
 @pytest.mark.parametrize("start", [0, 3])

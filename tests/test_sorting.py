@@ -24,6 +24,7 @@ from sortbench.sorting import MergeStrategy, mergesort
 
 from helpers import (
     CappedComparator,
+    DepthPeak,
     TableComparator,
     changing_comparator,
     insertion_sorted,
@@ -91,14 +92,14 @@ def logged_key_comparator(log):
 
 def test_per_merge_scratch_mode_identical():
     # the buffered sort reuses one scratch buffer across all merges; a
-    # top-down replay whose merges each allocate their own (scratch=None)
-    # must ask the same comparisons and give the same output
+    # top-down replay whose merges each allocate their own must ask the same
+    # comparisons and give the same output
     def replay(a, lo, n, compare):
         if n > 1:
             mid = n >> 1
             replay(a, lo, mid, compare)
             replay(a, lo + mid, n - mid, compare)
-            merge_buffered(a, mid, n - mid, compare, lo, scratch=None)
+            merge_buffered(a, mid, n - mid, compare, lo)
 
     rng = random.Random(17)
     tagged = [(rng.randrange(50), t) for t in range(997)]
@@ -115,14 +116,17 @@ def test_per_merge_scratch_mode_identical():
 def test_inplace_sort_asks_the_comparisons_of_the_plain_recursion(keys):
     # the driver sorts two-element halves without a merge node and the
     # merge runs its search inline; together they must ask the same pairs,
-    # in the same order, as helpers.reference_mergesort
+    # in the same order, as helpers.reference_mergesort, and reach its peak
+    # merge depth
     tagged = [(k, t) for t, k in enumerate(keys)]
     got, want = list(tagged), list(tagged)
     got_log, want_log = [], []
-    mergesort(got, logged_key_comparator(got_log))
-    reference_mergesort(want, logged_key_comparator(want_log))
+    phases, peak = PhaseTimes(), DepthPeak()
+    mergesort(got, logged_key_comparator(got_log), phases=phases)
+    reference_mergesort(want, logged_key_comparator(want_log), peak=peak)
     assert got_log == want_log
     assert got == want
+    assert phases.peak == peak.peak
 
 
 def test_two_element_sort_records_the_merge_node_depth():
@@ -134,6 +138,39 @@ def test_two_element_sort_records_the_merge_node_depth():
         mergesort(a, stats=stats)
         assert a == sorted(pair)
         assert (stats.comparisons, stats.max_merge_depth) == (comparisons, depth), pair
+
+
+def test_stats_describe_one_sort_and_phases_every_sort_it_observed():
+    # a counted sort reads its own depth, not the peak of a reused phases,
+    # and phases keeps that peak and gains the counted sort's seconds
+    rng = random.Random(43)
+    phases = PhaseTimes()
+    mergesort([rng.random() for _ in range(1000)], phases=phases)
+    deep = phases.peak
+    assert deep > 2
+    stats = SortStats()
+    mergesort([3, 1, 2], strategy=MergeStrategy.BUFFERED, stats=stats, phases=phases)
+    assert stats.max_merge_depth == 0
+    assert phases.peak == deep
+    fresh = SortStats()
+    mergesort([1, 2, 3, 4], stats=fresh)
+    corank_before = phases.corank_seconds
+    stats = SortStats()
+    mergesort([1, 2, 3, 4], stats=stats, phases=phases)
+    assert stats.max_merge_depth == fresh.max_merge_depth == 1
+    assert phases.peak == deep
+    assert phases.corank_seconds > corank_before
+
+
+@pytest.mark.parametrize("data, moves", [(range(1024), 5120), (range(1024, 0, -1), 10240)])
+def test_buffered_sort_leaves_a_tail_in_place(data, moves):
+    # each merge writes back what precedes the second run's remaining tail:
+    # the first run alone for sorted input, both runs for reversed input
+    arr = MoveCountingList(data)
+    stats = SortStats()
+    mergesort(arr, strategy=MergeStrategy.BUFFERED, stats=stats)
+    assert list(arr) == sorted(data)
+    assert (stats.comparisons, stats.moves) == (5120, moves)
 
 
 def test_stats_populated():
