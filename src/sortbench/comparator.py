@@ -11,8 +11,9 @@ twice gets two answers, neither of which a deterministic comparator can do.
 
 The public API takes three-way comparators; internally every module compares
 through a less-than predicate built once per call by :func:`as_less`.  The
-default comparator becomes ``operator.lt`` (the elements' native ``<``), and
-any other comparator is still called exactly once per comparison.
+default comparator becomes ``operator.lt`` (the elements' native ``<``, which
+an unobserved in-place sort or merge asks directly), and any other
+comparator is still called exactly once per comparison.
 """
 
 from __future__ import annotations

@@ -24,22 +24,26 @@ It runs the paper's bidirectional co-rank search inline (the search that
 :mod:`coranking`).  The middle block has even length 2k and is rotated by k,
 a block exchange of its halves with 2k writes: one tuple swap for a single
 pair (about two-thirds of all exchanges in a uniform sort), else a loop of
-pair swaps.  A side with an empty run gets no node.  Two searches skip the
-search's set-up: runs already in order end the node at the search's first
-test, and a run of one element walks through the other run pair by pair,
-asking at each step the search's two tests of the same pair.  Comparisons,
-moves and peak depth are those of the plain recursion.  One optional
-observer, :class:`MergeDepthGauge` (also named ``PhaseTimes``), records the
-peak depth and times co-ranking vs exchange.  A node records its depth on
-entry, and ``depth + 1`` where its search or walk ends, the depth its
-smaller child reaches whether it is entered or empty; each node gets its
-depth as an argument, so nothing needs undoing when a comparator raises.
+pair swaps.  A side with an empty run gets no node.  Runs already in order
+end the node at the search's first test, and a run of one element walks
+through the other run pair by pair, asking at each step the search's two
+tests of the same pair.  Comparisons, moves and peak depth are those of the
+plain recursion.  The node has two twins that make the same decisions:
+``_merge_inplace`` takes a predicate and one optional observer,
+:class:`MergeDepthGauge` (also named ``PhaseTimes``), that records the peak
+depth and times co-ranking vs exchange; ``_merge_lt`` compares with the
+elements' own ``<``, observes nothing, and runs exactly when the predicate
+is ``operator.lt`` and no gauge is given.  ``tests/test_merge.py`` pins
+them to the same comparisons and writes.  A node records its depth on entry
+and ``depth + 1`` where its search or walk ends; it gets its depth as an
+argument, so nothing needs undoing when a comparator raises.
 The buffered merge rejects a sequence without list slice assignment (a
 ``deque``, an ``array.array``) with a TypeError that says so.
 """
 
 from __future__ import annotations
 
+import operator
 from time import perf_counter
 from typing import Any, MutableSequence
 
@@ -144,7 +148,11 @@ def merge_inplace(
     and accumulates co-ranking vs rotation wall time.
     """
     _check_runs(seq, n1, n2, start)
-    _merge_inplace(seq, start, n1, n2, as_less(compare), gauge, 1)
+    less = as_less(compare)
+    if less is operator.lt and gauge is None:
+        _merge_lt(seq, start, n1, n2)
+    else:
+        _merge_inplace(seq, start, n1, n2, less, gauge, 1)
 
 
 def _merge_inplace(
@@ -254,6 +262,57 @@ def _merge_inplace(
         else:
             if k < n2:
                 _merge_inplace(a, mid, k, n2 - k, less, gauge, depth + 1)
+            n1, n2 = j, k
+
+
+def _merge_lt(a: MutableSequence[Any], lo: int, n1: int, n2: int) -> None:
+    # _merge_inplace's twin: the same tests, asked with the elements' own <
+    while n1 > 0 and n2 > 0:
+        mid = lo + n1
+        if not a[mid] < a[mid - 1]:
+            return
+        if n1 == 1 or n2 == 1:
+            step, stop = (1, mid + n2) if n1 == 1 else (-1, lo)
+            while a[mid] < a[mid - 1]:
+                a[mid - 1], a[mid] = a[mid], a[mid - 1]
+                mid += step
+                if mid == stop or not a[mid] < a[mid - 1]:
+                    return
+            return
+        m = n1 if n1 < n2 else n2
+        k_low = 0
+        k_high = m
+        k = (m + 1) >> 1
+        while True:
+            if k < m and a[mid + k] < a[mid - k - 1]:
+                if k == k_high:
+                    break
+                k_low = k
+                k += (k_high - k + 1) >> 1
+            elif k > 0 and not a[mid + k - 1] < a[mid - k]:
+                if k == k_high:
+                    break
+                k_high = k
+                k -= (k - k_low + 1) >> 1
+            else:
+                break
+        j = n1 - k
+        k_low = k_high = m = 0
+        if k == 1:
+            a[mid - 1], a[mid] = a[mid], a[mid - 1]
+        else:
+            for x in range(mid - k, mid):
+                y = x + k
+                a[x], a[y] = a[y], a[x]
+            x = y = 0
+        if n1 <= n2:
+            if j > 0:
+                _merge_lt(a, lo, j, k)
+            lo = mid
+            n1, n2 = k, n2 - k
+        else:
+            if k < n2:
+                _merge_lt(a, mid, k, n2 - k)
             n1, n2 = j, k
 
 

@@ -11,22 +11,25 @@ identical, stable output; they differ only in how adjacent runs are merged:
 
 No small-array cutoff to another sort: these are deliberately plain
 implementations so measured comparison counts reflect the algorithms
-themselves.  The in-place driver sorts a two-element half without a driver
-call or a merge node, but that is the merge node ``merge(1, 1)`` done inline,
-with its comparisons, moves and depth, not another sort.  The driver hands
-one optional observer (:class:`merge.MergeDepthGauge`) to every merge it
-starts, at depth 1: a counted sort's own gauge, else the caller's ``phases``.
+themselves.  The in-place driver hands every merge it starts one optional
+observer (:class:`merge.MergeDepthGauge`), at depth 1: a counted sort's own
+gauge, else the caller's ``phases``.  An unobserved sort with the default
+comparator runs the driver's twin ``_sort_lt`` over ``merge._merge_lt``,
+which compares with the elements' own ``<`` and sorts a two-element half
+inline with the calls of the merge node ``merge(1, 1)``.
 """
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
 from time import perf_counter
 from typing import Any, MutableSequence
 
 from .comparator import Comparator, Less, as_less, default_compare
 from .instrumentation import SortStats, counting_comparator
-from .merge import MergeDepthGauge, PhaseTimes, _merge_buffered, _merge_inplace
+from .merge import MergeDepthGauge, PhaseTimes, _merge_buffered
+from .merge import _merge_inplace, _merge_lt
 
 
 class MergeStrategy(Enum):
@@ -58,6 +61,8 @@ def mergesort(
     t0 = perf_counter()
     if strategy is MergeStrategy.BUFFERED:
         _sort_buffered(seq, 0, n, less, [None] * n)
+    elif n > 1 and less is operator.lt and gauge is None:
+        _sort_lt(seq, 0, n)
     elif n > 1:
         _sort_inplace(seq, 0, n, less, gauge)
     elapsed = perf_counter() - t0
@@ -80,40 +85,26 @@ def _sort_inplace(
 ) -> None:
     # callers guarantee n >= 2, so both halves are nonempty
     mid = n >> 1
-    if mid > 2:
+    if mid > 1:
         _sort_inplace(a, lo, mid, less, gauge)
-    elif mid == 2:
-        _sort_pair(a, lo, less, gauge)
-    if n - mid > 2:
+    if n - mid > 1:
         _sort_inplace(a, lo + mid, n - mid, less, gauge)
-    elif n - mid == 2:
-        _sort_pair(a, lo + mid, less, gauge)
     _merge_inplace(a, lo, mid, n - mid, less, gauge, 1)
 
 
-def _sort_pair(
-    a: MutableSequence[Any],
-    lo: int,
-    less: Less,
-    gauge: MergeDepthGauge | None,
-) -> None:
-    # the merge node merge(1, 1) of a[lo:lo+2], inline: its first test, the
-    # walk's repeat of the same test, and a swap only if both fire; depth 1,
-    # or 2 when it swaps, and the same co-rank/rotation split of wall time
-    if gauge is not None:
-        gauge.peak = max(gauge.peak, 1)
-        t0 = perf_counter()
-    if less(a[lo + 1], a[lo]) and less(a[lo + 1], a[lo]):
-        if gauge is not None:
-            t1 = perf_counter()
-            gauge.corank_seconds += t1 - t0
+def _sort_lt(a: MutableSequence[Any], lo: int, n: int) -> None:
+    # _sort_inplace's twin; a two-element half is merge(1, 1) done inline
+    mid = n >> 1
+    if mid > 2:
+        _sort_lt(a, lo, mid)
+    elif mid == 2 and a[lo + 1] < a[lo] and a[lo + 1] < a[lo]:
         a[lo], a[lo + 1] = a[lo + 1], a[lo]
-        if gauge is not None:
-            t0 = perf_counter()
-            gauge.rotation_seconds += t0 - t1
-            gauge.peak = max(gauge.peak, 2)
-    if gauge is not None:
-        gauge.corank_seconds += perf_counter() - t0
+    hi = lo + mid
+    if n - mid > 2:
+        _sort_lt(a, hi, n - mid)
+    elif n - mid == 2 and a[hi + 1] < a[hi] and a[hi + 1] < a[hi]:
+        a[hi], a[hi + 1] = a[hi + 1], a[hi]
+    _merge_lt(a, lo, mid, n - mid)
 
 
 def _sort_buffered(

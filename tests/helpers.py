@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 from typing import Any, Sequence
 
+from hypothesis import strategies as st
+
 from sortbench.comparator import Comparator, default_compare
 from sortbench.instrumentation import TaggedElement
 from sortbench.rotation import rotate_left
@@ -60,6 +62,39 @@ class RecordingList(list):
         if not isinstance(index, slice):
             self.writes.append(index)
         super().__setitem__(index, value)
+
+
+class LessBy:
+    """Element whose ``<`` answers ``compare(self, other) < 0``.  Sorted
+    with the default comparator, it makes the library compare with ``<``
+    and still ask ``compare``: one that logs, raises or follows a script."""
+
+    __slots__ = ("key", "tag", "compare")
+
+    def __init__(self, key: Any, tag: int, compare: Comparator) -> None:
+        self.key = key
+        self.tag = tag
+        self.compare = compare
+
+    def __lt__(self, other: "LessBy") -> bool:
+        return self.compare(self, other) < 0
+
+
+def elements_asking(compare: Comparator, n: int) -> list[LessBy]:
+    """Elements with keys and tags ``0 .. n-1`` whose ``<`` asks
+    ``compare`` about their keys."""
+    return [LessBy(t, t, lambda x, y: compare(x.key, y.key)) for t in range(n)]
+
+
+def logged_tag_comparator(log: list) -> Comparator:
+    """Three-way comparator over ``LessBy`` keys that logs the tags of
+    every call."""
+
+    def compare(x: LessBy, y: LessBy) -> int:
+        log.append((x.tag, y.tag))
+        return default_compare(x.key, y.key)
+
+    return compare
 
 
 class NoCompare:
@@ -180,6 +215,19 @@ def scripted_comparator(
         return cycle[(t - len(prefix)) % len(cycle)]
 
     return CappedComparator(compare, cap)
+
+
+_answers = st.lists(st.integers(min_value=-1, max_value=1), max_size=8)
+_cycles = st.lists(st.integers(min_value=-1, max_value=1), min_size=1, max_size=8)
+
+# capped comparators outside the contract: answers that change between
+# calls, or that follow the call count (honest, then a script, then a cycle)
+erratic_comparators = st.one_of(
+    st.builds(changing_comparator, st.integers(0, 2**32 - 1), st.just(100_000)),
+    st.builds(
+        scripted_comparator, _answers, _cycles, st.just(100_000), st.integers(0, 200)
+    ),
+)
 
 
 def paper_co_rank(

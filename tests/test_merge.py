@@ -2,10 +2,12 @@ import itertools
 import math
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sortbench.merge as merge_mod
 from sortbench.comparator import default_compare
 from sortbench.instrumentation import SortStats, counting_comparator
 from sortbench.merge import (
@@ -18,7 +20,11 @@ from sortbench.merge import (
 
 from helpers import (
     DepthPeak,
+    LessBy,
     RecordingList,
+    elements_asking,
+    erratic_comparators,
+    logged_tag_comparator,
     reference_merge_inplace,
     scripted_comparator,
     sorted_random_run,
@@ -229,6 +235,36 @@ def test_inplace_asks_the_comparisons_of_co_rank_and_rotate(run1, run2, start):
     assert gauge.peak == peak.peak
 
 
+@settings(deadline=None)
+@given(
+    dup_runs,
+    dup_runs,
+    st.sampled_from([0, 5, -5]),
+    st.integers(min_value=0, max_value=3),
+)
+def test_default_comparator_merge_matches_the_instrumented_merge(
+    run1, run2, shift, start
+):
+    # an unobserved default-comparator merge runs merge._merge_lt, which
+    # compares with the elements' own <; it must ask the pairs, make the
+    # writes and give the output of _merge_inplace with a three-way
+    # comparator.  shift 5 puts the runs in order, -5 reverses them
+    keys = [-10] * start + run1 + [k + shift for k in run2]
+    runs = []
+    for fast in (True, False):
+        log = []
+        compare = logged_tag_comparator(log)
+        a = RecordingList(LessBy(k, t, compare) for t, k in enumerate(keys))
+        if fast:
+            ran = AssertionError("the instrumented node ran")
+            with mock.patch.object(merge_mod, "_merge_inplace", side_effect=ran):
+                merge_inplace(a, len(run1), len(run2), start=start)
+        else:
+            merge_inplace(a, len(run1), len(run2), compare, start)
+        runs.append((log, a.writes, [x.tag for x in a]))
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("start", [0, 3])
 def test_single_element_walk_matches_reference(start):
     # a single element merged into every run of keys {0, 1, 2} up to length
@@ -285,6 +321,15 @@ def test_search_terminates_when_one_pair_is_answered_two_ways():
     assert compare.calls < 100
 
 
+def test_default_comparator_search_terminates_when_one_pair_is_answered_two_ways():
+    # the same script through the elements' <, which merge._merge_lt asks
+    compare = scripted_comparator([-1, 1, 1], [-1], cap=10_000)
+    a = elements_asking(compare, 20)
+    merge_inplace(a, 10, 10)
+    assert sorted(x.tag for x in a) == list(range(20))
+    assert compare.calls < 100
+
+
 answers = st.lists(st.integers(min_value=-1, max_value=1), max_size=8)
 cycles = st.lists(st.integers(min_value=-1, max_value=1), min_size=1, max_size=8)
 
@@ -303,3 +348,18 @@ def test_inplace_terminates_when_answers_follow_the_call_count(n1, n2, prefix, c
     a = list(range(n1 + n2))
     merge_inplace(a, n1, n2, compare)
     assert sorted(a) == list(range(n1 + n2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=0, max_value=30),
+    erratic_comparators,
+)
+def test_default_comparator_merge_terminates_when_less_than_is_erratic(n1, n2, erratic):
+    # elements whose < answers from a script, a cycle or a changing draw:
+    # every search and walk of merge._merge_lt must end, and the runs stay a
+    # permutation
+    a = elements_asking(erratic, n1 + n2)
+    merge_inplace(a, n1, n2)
+    assert sorted(x.tag for x in a) == list(range(n1 + n2))

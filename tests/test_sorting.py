@@ -5,6 +5,7 @@ import math
 import random
 import sys
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,9 +26,14 @@ from sortbench.sorting import MergeStrategy, mergesort
 from helpers import (
     CappedComparator,
     DepthPeak,
+    LessBy,
+    RecordingList,
     TableComparator,
     changing_comparator,
+    elements_asking,
+    erratic_comparators,
     insertion_sorted,
+    logged_tag_comparator,
     reference_mergesort,
     scripted_comparator,
     stable_merge_oracle,
@@ -129,6 +135,32 @@ def test_inplace_sort_asks_the_comparisons_of_the_plain_recursion(keys):
     assert phases.peak == peak.peak
 
 
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=4), max_size=80),
+    st.sampled_from(["drawn", "sorted", "reversed"]),
+)
+def test_default_comparator_sort_matches_the_instrumented_sort(keys, order):
+    # an unobserved default-comparator sort runs sorting._sort_lt, which
+    # compares with the elements' own <; it must ask the pairs, make the
+    # writes and give the output of _sort_inplace with a three-way comparator
+    if order != "drawn":
+        keys = sorted(keys, reverse=order == "reversed")
+    runs = []
+    for fast in (True, False):
+        log = []
+        compare = logged_tag_comparator(log)
+        a = RecordingList(LessBy(k, t, compare) for t, k in enumerate(keys))
+        if fast:
+            ran = AssertionError("the instrumented driver ran")
+            with mock.patch.object(sorting_mod, "_sort_inplace", side_effect=ran):
+                mergesort(a)
+        else:
+            mergesort(a, compare)
+        runs.append((log, a.writes, [x.tag for x in a]))
+    assert runs[0] == runs[1]
+
+
 def test_two_element_sort_records_the_merge_node_depth():
     # a two-element sort is the merge node merge(1, 1): depth 1, and 2 when
     # it exchanges the pair
@@ -213,22 +245,25 @@ def test_counting_wrapper_transparent():
 
 
 def test_driver_recursion_depth(monkeypatch):
-    real = sorting_mod._sort_inplace
-    depth = {"current": 0, "peak": 0}
-
-    def wrapped(a, lo, n, compare, gauge):
-        depth["current"] += 1
-        depth["peak"] = max(depth["peak"], depth["current"])
-        try:
-            return real(a, lo, n, compare, gauge)
-        finally:
-            depth["current"] -= 1
-
-    monkeypatch.setattr(sorting_mod, "_sort_inplace", wrapped)
+    # an unobserved default-comparator sort runs _sort_lt, an observed one
+    # _sort_inplace: wrap the driver each call runs, which must be entered
     rng = random.Random(37)
     values = [rng.random() for _ in range(10_000)]
-    mergesort(values)
-    assert depth["peak"] <= math.ceil(math.log2(10_000)) + 1
+    for name, kwargs in (("_sort_lt", {}), ("_sort_inplace", {"phases": PhaseTimes()})):
+        real = getattr(sorting_mod, name)
+        depth = {"current": 0, "peak": 0}
+
+        def wrapped(*args):
+            depth["current"] += 1
+            depth["peak"] = max(depth["peak"], depth["current"])
+            try:
+                return real(*args)
+            finally:
+                depth["current"] -= 1
+
+        monkeypatch.setattr(sorting_mod, name, wrapped)
+        mergesort(list(values), **kwargs)
+        assert 1 <= depth["peak"] <= math.ceil(math.log2(10_000)) + 1, name
 
 
 @given(st.lists(st.integers(min_value=0, max_value=7), max_size=64), st.booleans())
@@ -330,6 +365,31 @@ def test_raising_comparator_propagates_and_leaves_permutation(keys, strategy, da
     assert sorted(a) == sorted(keys)
 
 
+@given(
+    st.lists(st.integers(min_value=0, max_value=5), min_size=2, max_size=48),
+    st.data(),
+)
+def test_raising_less_than_propagates_and_leaves_permutation(keys, data):
+    # the default-comparator sort compares with the elements' <, which
+    # raises on its N-th call, for any N the sort reaches
+    counted = SortStats()
+    sort_copy(keys, MergeStrategy.INPLACE, stats=counted)
+    fail_at = data.draw(st.integers(min_value=1, max_value=counted.comparisons))
+    calls = 0
+
+    def compare(x, y):
+        nonlocal calls
+        calls += 1
+        if calls == fail_at:
+            raise ComparatorFailed(calls)
+        return default_compare(x.key, y.key)
+
+    a = [LessBy(k, t, compare) for t, k in enumerate(keys)]
+    with pytest.raises(ComparatorFailed):
+        mergesort(a)
+    assert sorted(x.tag for x in a) == list(range(len(keys)))
+
+
 @pytest.mark.parametrize("dist", ["uniform", "fewdistinct"])
 def test_phase_times_leave_the_sort_unchanged(dist):
     # the phase timers sit in the merge's one loop, walk included: timing a
@@ -379,6 +439,21 @@ def test_sort_terminates_when_the_search_is_asked_one_pair_two_ways():
     assert compare.calls < 100
 
 
+def test_default_comparator_sort_terminates_when_one_pair_is_answered_two_ways():
+    # the same script through the elements' <, which sorting._sort_lt and
+    # merge._merge_lt ask
+    honest = 0
+    for half in (list(range(10)), list(range(10, 20))):
+        stats = SortStats()
+        mergesort(half, stats=stats)
+        honest += stats.comparisons
+    compare = scripted_comparator([-1, 1, 1], [-1], cap=10_000, honest=honest)
+    a = elements_asking(compare, 20)
+    mergesort(a)
+    assert sorted(x.tag for x in a) == list(range(20))
+    assert compare.calls < 100
+
+
 answers = st.lists(st.integers(min_value=-1, max_value=1), max_size=8)
 cycles = st.lists(st.integers(min_value=-1, max_value=1), min_size=1, max_size=8)
 
@@ -400,6 +475,16 @@ def test_sort_terminates_when_answers_follow_the_call_count(
     a = list(range(n))
     mergesort(a, compare, strategy)
     assert sorted(a) == list(range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=40), erratic_comparators)
+def test_default_comparator_sort_terminates_when_less_than_is_erratic(n, erratic):
+    # elements whose < answers from a script, a cycle or a changing draw:
+    # the default-comparator sort must still end and leave a permutation
+    a = elements_asking(erratic, n)
+    mergesort(a)
+    assert sorted(x.tag for x in a) == list(range(n))
 
 
 @settings(max_examples=60, deadline=None)
