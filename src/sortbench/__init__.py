@@ -29,7 +29,7 @@ from .merge import (
     merge_buffered,
     merge_inplace,
 )
-from .rotation import normalize_offset, rotate_left, rotate_right, rotated_copy
+from .rotation import rotate_left, rotated_copy
 from .sorting import MergeStrategy, mergesort
 
 __version__ = "0.1.0"
@@ -53,9 +53,7 @@ __all__ = [
     "merge_buffered",
     "merge_inplace",
     "mergesort",
-    "normalize_offset",
     "rotate_left",
-    "rotate_right",
     "rotated_copy",
     "select_merged",
     "tag",

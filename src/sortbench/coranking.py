@@ -1,31 +1,21 @@
 """Co-ranking: split a rank in the merged view of two sorted sequences.
 
-Given sorted sequences A and B and a rank ``i`` into their (never
-materialized) stable merge C, the co-ranks are the unique pair ``(j, k)``
-with ``j + k = i`` such that the first ``i`` elements of C are exactly
-``A[0:j]`` and ``B[0:k]``.  They satisfy:
+For sorted A and B and a rank ``i`` into their stable merge C (never
+materialized), the co-ranks are the unique ``(j, k)`` with ``j + k = i``
+such that the first ``i`` elements of C are ``A[0:j]`` and ``B[0:k]``:
 
 * ``j == 0`` or ``k == len(B)`` or ``A[j-1]`` precedes-or-equals ``B[k]``
 * ``k == 0`` or ``j == len(A)`` or ``B[k-1]`` strictly precedes ``A[j]``
 
-The asymmetry (``<=`` on the A side, ``<`` on the B side) is what makes the
-split stable: equal keys are drawn from A before B.
+The asymmetry (``<=`` on the A side, ``<`` on the B side) makes the split
+stable: equal keys come from A first.
 
-The search is a lower bound over ``j`` in ``[max(0, i - nB), min(i, nA)]``.
-With ``k = i - j``, the test "does ``B[k-1]`` strictly precede ``A[j]``?" is
-false up to the co-rank and true from there on (both runs are sorted), and
-the first ``j`` where it holds, or ``min(i, nA)`` if it never does, is the
-co-rank.  Each step asks that one test through the less-than predicate of
-:func:`as_less` and halves the range, so a query costs at most
-``ceil(log2(min(i, nA, nB, nA + nB - i) + 1))`` comparator calls, well inside
-the documented budget of ``2 * (ceil(log2(nA + nB + 1)) + 2)``.
-Inside the range both indexes are in bounds, so no range check is needed
-and the comparator is never invoked with an out-of-range index.
-
-Termination is structural: the range shrinks on every step whatever the
-comparator answers, so even a comparator that is not an ordering, or whose
-answers change from call to call, gets ``j + k == i`` in range within the
-same number of calls, though the split then has no meaning.
+The search is a lower bound over ``j`` for the test "``B[i-j-1]`` strictly
+precedes ``A[j]``", which is false below the co-rank and true from it on.
+It costs at most ``ceil(log2(min(i, nA, nB, nA + nB - i) + 1))`` comparator
+calls.  Its range shrinks at every step whatever the comparator answers, so
+a comparator that is not an ordering also ends it within that many calls,
+though the split then has no meaning.
 """
 
 from __future__ import annotations

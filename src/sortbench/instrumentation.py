@@ -32,7 +32,8 @@ class TaggedElement(NamedTuple):
 
 
 def counting_comparator(inner: Comparator, stats: SortStats) -> Comparator:
-    """Wrap ``inner`` so every invocation bumps ``stats.comparisons``."""
+    """Wrap ``inner``, a comparator or a less-than predicate, so every
+    invocation bumps ``stats.comparisons``."""
 
     def compare(a: Any, b: Any) -> int:
         stats.comparisons += 1

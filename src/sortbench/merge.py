@@ -1,44 +1,21 @@
 """Merging two adjacent sorted runs inside one sequence.
 
-Two strategies with identical (stable) output:
+:func:`merge_buffered` is the classic merge through a buffer as long as the
+first run.  :func:`merge_inplace` needs no buffer: O(n) comparisons, O(n log
+n) moves, and a depth kept logarithmic by recursing into the smaller half.
+Both give the same stable output and read and write single items, so they
+take any mutable sequence.  A comparator that raises leaves a permutation;
+one that resizes the sequence gets a ValueError.
 
-* :func:`merge_buffered` is the classic two-pointer merge through a scratch
-  buffer of the combined run length: O(n) time, O(n) extra space, at most
-  ``n - 1`` comparisons.  It writes back only what precedes the second run's
-  remaining tail, which already sits in place.
-
-* :func:`merge_inplace` needs no scratch buffer.  It co-ranks the middle
-  rank ``i = n1``, exchanges the two halves of the middle block so that
-  everything preceding rank ``i`` sits left of it, and recurses on the two
-  independent halves.  Comparisons stay O(n); element moves make it
-  O(n log n) time.  Recursing into the smaller half and iterating on the
-  larger keeps the stack depth (and hence extra space) logarithmic even for
-  adversarially skewed splits.
-
-Both merges compare through the less-than predicate of
-:func:`comparator.as_less`, built once per public call.
-
-A merge node of the in-place merge makes no Python call but its recursion.
-It runs the paper's bidirectional co-rank search inline (the search that
-``tests/helpers.paper_co_rank`` replays, not the one-test lower bound of
-:mod:`coranking`).  The middle block has even length 2k and is rotated by k,
-a block exchange of its halves with 2k writes: one tuple swap for a single
-pair (about two-thirds of all exchanges in a uniform sort), else a loop of
-pair swaps.  A side with an empty run gets no node.  Runs already in order
-end the node at the search's first test, and a run of one element walks
-through the other run pair by pair, asking at each step the search's two
-tests of the same pair.  Comparisons, moves and peak depth are those of the
-plain recursion.  The node has two twins that make the same decisions:
-``_merge_inplace`` takes a predicate and one optional observer,
-:class:`MergeDepthGauge` (also named ``PhaseTimes``), that records the peak
-depth and times co-ranking vs exchange; ``_merge_lt`` compares with the
-elements' own ``<``, observes nothing, and runs exactly when the predicate
-is ``operator.lt`` and no gauge is given.  ``tests/test_merge.py`` pins
-them to the same comparisons and writes.  A node records its depth on entry
-and ``depth + 1`` where its search or walk ends; it gets its depth as an
-argument, so nothing needs undoing when a comparator raises.
-The buffered merge rejects a sequence without list slice assignment (a
-``deque``, an ``array.array``) with a TypeError that says so.
+The in-place node runs the paper's bidirectional co-rank search inline
+(``tests/helpers.paper_co_rank``), not the lower bound of :mod:`coranking`,
+so its counted work is the paper's.  It has two twins that must make the
+same decisions: ``_merge_inplace`` takes a predicate and an optional
+:class:`MergeDepthGauge`; ``_merge_lt`` asks the elements' own ``<`` and
+runs exactly when the predicate is ``operator.lt`` and no gauge is given.
+``tests/test_merge.py`` pins them to the same comparisons and writes.  A
+node gets its depth as an argument, so a raising comparator leaves no depth
+to undo.
 """
 
 from __future__ import annotations
@@ -67,14 +44,27 @@ class MergeDepthGauge:
 PhaseTimes = MergeDepthGauge
 
 
-def _check_runs(seq: MutableSequence[Any], n1: int, n2: int, start: int) -> None:
-    if n1 < 0 or n2 < 0:
-        raise ValueError("run lengths must be nonnegative")
-    if start < 0 or start + n1 + n2 > len(seq):
+def _check_length(seq: MutableSequence[Any], n: int) -> None:
+    # a comparator that resizes the sequence leaves every index stale
+    if len(seq) != n:
+        raise ValueError(f"sequence resized from {n} to {len(seq)} items")
+
+
+def _run_merge(
+    seq: MutableSequence[Any], n1: int, n2: int, start: int, node: Any, *args: Any
+) -> None:
+    n = len(seq)
+    if n1 < 0 or n2 < 0 or start < 0 or start + n1 + n2 > n:
         raise ValueError(
-            f"runs [{start}, {start}+{n1}+{n2}) out of bounds for sequence of "
-            f"length {len(seq)}"
+            f"runs of {n1} and {n2} items at {start} do not fit a sequence of "
+            f"{n} items"
         )
+    try:
+        node(seq, start, n1, n2, *args)
+    except IndexError:
+        _check_length(seq, n)
+        raise
+    _check_length(seq, n)
 
 
 def merge_buffered(
@@ -87,12 +77,11 @@ def merge_buffered(
     """Stably merge the sorted runs ``seq[start:start+n1]`` and
     ``seq[start+n1:start+n1+n2]`` using a scratch buffer.
 
-    Allocates one ``n1 + n2``-slot buffer; a MemoryError from that allocation
+    Allocates one ``n1``-slot buffer; a MemoryError from that allocation
     propagates.  Equal keys keep first-run elements ahead of second-run
-    elements; a second-run tail already in place is not copied.
+    elements; a second-run tail already in place is not written.
     """
-    _check_runs(seq, n1, n2, start)
-    _merge_buffered(seq, start, n1, n2, as_less(compare), [None] * (n1 + n2))
+    _run_merge(seq, n1, n2, start, _merge_buffered, as_less(compare), [None] * n1)
 
 
 def _merge_buffered(
@@ -103,34 +92,33 @@ def _merge_buffered(
     less: Less,
     scratch: list[Any],
 ) -> None:
+    # the first run goes out to scratch[0:n1] one item at a time (a slice
+    # copy would allocate a second buffer).  The merge writes seq[t] with
+    # t < q, so it never overwrites an unread second-run item.
     if n1 == 0 or n2 == 0:
         return
-    p = start
+    for p in range(n1):
+        scratch[p] = seq[start + p]
+    p = 0
     q = start + n1
-    end1 = q
     end2 = q + n2
-    t = 0
-    while p < end1 and q < end2:
-        if less(seq[q], seq[p]):
-            scratch[t] = seq[q]
-            q += 1
-        else:
-            scratch[t] = seq[p]
-            p += 1
-        t += 1
-    while p < end1:
-        scratch[t] = seq[p]
-        p += 1
-        t += 1
-    # a second-run tail seq[q:end2] already sits where it belongs
+    t = start
     try:
-        seq[start : start + t] = scratch[:t]
-    except TypeError as exc:
-        raise TypeError(
-            f"the buffered merge copies back by slice assignment of a list, "
-            f"which {type(seq).__name__} does not accept; sort it with "
-            f"MergeStrategy.INPLACE, which writes single items"
-        ) from exc
+        while p < n1 and q < end2:
+            if less(seq[q], scratch[p]):
+                seq[t] = seq[q]
+                q += 1
+            else:
+                seq[t] = scratch[p]
+                p += 1
+            t += 1
+    finally:
+        # the first run's rest fills seq[t:q], also after a raising
+        # comparator; the second run's rest seq[q:end2] is in place
+        while p < n1:
+            seq[t] = scratch[p]
+            p += 1
+            t += 1
 
 
 def merge_inplace(
@@ -147,12 +135,11 @@ def merge_inplace(
     the same input.  ``gauge``, when given, records the peak recursion depth
     and accumulates co-ranking vs rotation wall time.
     """
-    _check_runs(seq, n1, n2, start)
     less = as_less(compare)
     if less is operator.lt and gauge is None:
-        _merge_lt(seq, start, n1, n2)
+        _run_merge(seq, n1, n2, start, _merge_lt)
     else:
-        _merge_inplace(seq, start, n1, n2, less, gauge, 1)
+        _run_merge(seq, n1, n2, start, _merge_inplace, less, gauge, 1)
 
 
 def _merge_inplace(
@@ -323,8 +310,9 @@ def count_inplace_merge_comparisons(
     compare: Comparator = default_compare,
     start: int = 0,
 ) -> int:
-    """Run :func:`merge_inplace` with a counting comparator and return the
-    number of comparator invocations."""
+    """Run :func:`merge_inplace`'s instrumented node, counting each
+    comparison, and return the number of comparator invocations."""
     stats = SortStats()
-    merge_inplace(seq, n1, n2, counting_comparator(compare, stats), start)
+    less = counting_comparator(as_less(compare), stats)
+    _run_merge(seq, n1, n2, start, _merge_inplace, less, None, 1)
     return stats.comparisons

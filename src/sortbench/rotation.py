@@ -11,11 +11,9 @@ the outer loop when all cycles are done.  Cycles start below
 Rotating a span of even length by half of it is a block exchange (Gries &
 Mills, "Swapping sections", 1981): its cycles all have length 2, so
 the rotation swaps the two halves element by element instead, still with
-exactly n writes and no allocation.  The in-place merge rotates only such
-blocks and runs the same swap loop inline, so it calls nothing here.  The
-swap indexes one element at a time, never slices, so it works on every
-mutable sequence (a ``deque`` has no slice assignment, and a numpy slice is
-a view).
+exactly n writes and no allocation.  Both loops index one element at a
+time, never slices, so they work on every mutable sequence (a ``deque`` has
+no slice assignment, and a numpy slice is a view).
 
 Rotation never compares elements; it only moves them.
 """
@@ -23,29 +21,6 @@ Rotation never compares elements; it only moves them.
 from __future__ import annotations
 
 from typing import Any, MutableSequence, Sequence
-
-
-def normalize_offset(offset: int, length: int) -> int:
-    """Map an arbitrary (possibly negative) offset into ``[0, length)``.
-
-    Returns 0 for an empty sequence.
-    """
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    if length == 0:
-        return 0
-    return offset % length
-
-
-def _span(seq: Sequence[Any], start: int, length: int | None) -> int:
-    if length is None:
-        length = len(seq) - start
-    if start < 0 or length < 0 or start + length > len(seq):
-        raise ValueError(
-            f"span [{start}, {start}+{length}) out of bounds for sequence of "
-            f"length {len(seq)}"
-        )
-    return length
 
 
 def rotate_left(
@@ -56,30 +31,22 @@ def rotate_left(
 ) -> None:
     """Rotate ``seq[start:start+length]`` left by ``offset``, in place.
 
-    Requires ``0 <= offset < length`` (use :func:`normalize_offset` first for
-    raw offsets).  Spans of length 0 or 1 are no-ops regardless of offset.
+    ``length`` defaults to the rest of the sequence.  Requires
+    ``0 <= offset < length``; spans of length 0 or 1 are no-ops regardless
+    of offset.  A right rotation by ``r`` is a left rotation by
+    ``(length - r) % length``.
     """
-    n = _span(seq, start, length)
+    n = len(seq) - start if length is None else length
+    if start < 0 or n < 0 or start + n > len(seq):
+        raise ValueError(
+            f"span [{start}, {start}+{n}) out of bounds for sequence of "
+            f"length {len(seq)}"
+        )
     if n <= 1:
         return
     if not 0 <= offset < n:
         raise ValueError(f"offset {offset} not in [0, {n})")
     _rotate(seq, offset, start, n)
-
-
-def rotate_right(
-    seq: MutableSequence[Any],
-    offset: int,
-    start: int = 0,
-    length: int | None = None,
-) -> None:
-    """Rotate right by ``offset``; equivalent to a left rotation by ``n - offset``."""
-    n = _span(seq, start, length)
-    if n <= 1:
-        return
-    if not 0 <= offset < n:
-        raise ValueError(f"offset {offset} not in [0, {n})")
-    _rotate(seq, (n - offset) % n, start, n)
 
 
 def _rotate(a: MutableSequence[Any], r: int, lo: int, n: int) -> None:

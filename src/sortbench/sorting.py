@@ -3,9 +3,9 @@
 Both strategies split at ``mid = n // 2`` on every level and produce
 identical, stable output; they differ only in how adjacent runs are merged:
 
-* ``MergeStrategy.BUFFERED``: classic mergesort, O(n) scratch space.  The
-  scratch buffer is allocated once per sort and reused across merge levels;
-  a merge leaves the second run's tail where it already is.
+* ``MergeStrategy.BUFFERED``: classic mergesort and its one second array,
+  an n-slot scratch buffer allocated once per sort and reused by every
+  merge; a merge leaves the second run's tail where it already is.
 * ``MergeStrategy.INPLACE``: no scratch buffer; extra space is the O(log n)
   recursion bookkeeping of sort driver plus in-place merge.
 
@@ -28,7 +28,7 @@ from typing import Any, MutableSequence
 
 from .comparator import Comparator, Less, as_less, default_compare
 from .instrumentation import SortStats, counting_comparator
-from .merge import MergeDepthGauge, PhaseTimes, _merge_buffered
+from .merge import MergeDepthGauge, PhaseTimes, _check_length, _merge_buffered
 from .merge import _merge_inplace, _merge_lt
 
 
@@ -46,26 +46,32 @@ def mergesort(
 ) -> None:
     """Stably sort ``seq`` in place, ascending under ``compare``.
 
-    ``stats`` describes this one sort: the comparator is wrapped to count
-    calls, and its wall time, peak merge depth (0 for BUFFERED) and, if
-    ``seq`` counts its writes (see MoveCountingList), moves are recorded.
+    ``stats`` describes this one sort: its comparisons are counted, and its
+    wall time, peak merge depth (0 for BUFFERED) and, if ``seq`` counts its
+    writes (see MoveCountingList), moves are recorded.
     ``phases``, a :class:`PhaseTimes`, covers every sort it observed: their
     summed co-ranking vs exchange wall time and their largest merge depth.
+    Raises ValueError if the comparator resizes ``seq``.
     """
     n = len(seq)
     gauge = MergeDepthGauge() if stats is not None else phases
-    if stats is not None:
-        compare = counting_comparator(compare, stats)
     less = as_less(compare)
+    if stats is not None:
+        less = counting_comparator(less, stats)
     moves_before = getattr(seq, "move_count", 0)
     t0 = perf_counter()
-    if strategy is MergeStrategy.BUFFERED:
-        _sort_buffered(seq, 0, n, less, [None] * n)
-    elif n > 1 and less is operator.lt and gauge is None:
-        _sort_lt(seq, 0, n)
-    elif n > 1:
-        _sort_inplace(seq, 0, n, less, gauge)
+    try:
+        if strategy is MergeStrategy.BUFFERED:
+            _sort_buffered(seq, 0, n, less, [None] * n)
+        elif n > 1 and less is operator.lt and gauge is None:
+            _sort_lt(seq, 0, n)
+        elif n > 1:
+            _sort_inplace(seq, 0, n, less, gauge)
+    except IndexError:
+        _check_length(seq, n)
+        raise
     elapsed = perf_counter() - t0
+    _check_length(seq, n)
     if stats is not None:
         stats.wall_seconds = elapsed
         stats.max_merge_depth = gauge.peak

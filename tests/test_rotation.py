@@ -4,19 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sortbench.instrumentation import MoveCountingList
-from sortbench.rotation import normalize_offset, rotate_left, rotate_right, rotated_copy
+from sortbench.rotation import rotate_left, rotated_copy
 
 from helpers import NoCompare, RecordingList
-
-
-def test_normalize_offset():
-    assert normalize_offset(-1, 12) == 11
-    assert normalize_offset(12, 12) == 0
-    assert normalize_offset(17, 12) == 5
-    assert normalize_offset(0, 0) == 0
-    assert normalize_offset(-25, 12) == 11
-    with pytest.raises(ValueError):
-        normalize_offset(3, -1)
 
 
 def test_rotate_left_twelve_by_three():
@@ -42,23 +32,6 @@ def test_rotate_left_offset_out_of_range():
         rotate_left([1, 2, 3], -1)
     with pytest.raises(ValueError):
         rotate_left([1, 2, 3], 1, start=1, length=5)
-
-
-def test_rotate_right_basics():
-    a = list("abcd")
-    rotate_right(a, 1)
-    assert a == list("dabc")
-    b = [1, 2]
-    rotate_right(b, 0)
-    assert b == [1, 2]
-
-
-def test_rotate_right_equals_left_complement():
-    a = list("abcdefghijkl")
-    b = list(a)
-    rotate_right(a, 9)
-    rotate_left(b, 3)
-    assert a == b
 
 
 def test_single_cycle_visit_order():
@@ -109,7 +82,7 @@ def test_subrange_rotation_leaves_bounds_alone():
     a = list(range(10))
     rotate_left(a, 2, start=3, length=5)  # rotate a[3:8] only
     assert a == [0, 1, 2, 5, 6, 7, 3, 4, 8, 9]
-    rotate_right(a, 2, start=3, length=5)
+    rotate_left(a, 3, start=3, length=5)  # and back
     assert a == list(range(10))
 
 
@@ -119,10 +92,8 @@ def test_half_rotation_direction_is_irrelevant():
     for k in (1, 2, 5, 16):
         base = [rng.randrange(50) for _ in range(2 * k)]
         left = list(base)
-        right = list(base)
         rotate_left(left, k)
-        rotate_right(right, k)
-        assert left == right
+        assert left == base[-k:] + base[:-k]
 
 
 def test_rotated_copy_basics():
@@ -136,9 +107,10 @@ def test_rotated_copy_basics():
     st.integers(min_value=0, max_value=200),
 )
 def test_round_trip_restores_input(items, raw):
-    r = normalize_offset(raw, len(items))
+    n = len(items)
+    r = raw % n if n else 0
     a = list(items)
     rotate_left(a, r)
     assert a == rotated_copy(items, r)
-    rotate_right(a, r)
+    rotate_left(a, (n - r) % n if n else 0)
     assert a == items

@@ -5,6 +5,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -20,7 +21,7 @@ from sortbench.instrumentation import (
     key_comparator,
     verify_stable_permutation,
 )
-from sortbench.merge import PhaseTimes, merge_buffered
+from sortbench.merge import PhaseTimes, merge_buffered, merge_inplace
 from sortbench.sorting import MergeStrategy, mergesort
 
 from helpers import (
@@ -314,26 +315,35 @@ def test_sorts_any_mutable_sequence():
     # item access only: no slice assignment, and no slices that alias
     rng = random.Random(53)
     values = [rng.random() for _ in range(300)]
-    for seq in (collections.deque(values), array.array("d", values)):
-        mergesort(seq)
-        assert list(seq) == sorted(values), type(seq)
+    for strategy in MergeStrategy:
+        for seq in (collections.deque(values), array.array("d", values)):
+            mergesort(seq, strategy=strategy)
+            assert list(seq) == sorted(values), (strategy, type(seq))
 
 
 def test_sorts_numpy_array():
     np = pytest.importorskip("numpy")
     values = np.random.default_rng(59).random(300)
-    seq = values.copy()
-    mergesort(seq)
-    assert seq.tolist() == sorted(values.tolist())
+    for strategy in MergeStrategy:
+        seq = values.copy()
+        mergesort(seq, strategy=strategy)
+        assert seq.tolist() == sorted(values.tolist()), strategy
 
 
-def test_buffered_rejects_sequence_without_slice_assignment():
-    rng = random.Random(61)
-    values = [rng.random() for _ in range(50)]
-    for seq in (collections.deque(values), array.array("d", values)):
-        with pytest.raises(TypeError, match="slice assignment.*INPLACE"):
-            mergesort(seq, strategy=MergeStrategy.BUFFERED)
-        assert sorted(seq) == sorted(values), type(seq)
+def test_buffered_sort_allocates_one_array():
+    # the buffered reference's one large allocation is its n-slot scratch
+    # buffer, 8 B per element: its merges copy single items, never slices
+    n = 10_000
+    values = generate(n, Distribution("uniform"), 88)
+    arr = list(values)
+    tracemalloc.start()
+    try:
+        mergesort(arr, strategy=MergeStrategy.BUFFERED)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert arr == sorted(values)
+    assert 8 * n <= peak < 9 * n, peak / n
 
 
 class ComparatorFailed(Exception):
@@ -388,6 +398,57 @@ def test_raising_less_than_propagates_and_leaves_permutation(keys, data):
     with pytest.raises(ComparatorFailed):
         mergesort(a)
     assert sorted(x.tag for x in a) == list(range(len(keys)))
+
+
+def _halves(a):
+    return len(a) // 2, len(a) - len(a) // 2
+
+
+# the entry points that must notice a resized sequence; the "<" ones pass
+# the default comparator, so the elements' own < asks the comparator
+RESIZE_CHECKED = {
+    "buffered sort": lambda a, compare: mergesort(a, compare, MergeStrategy.BUFFERED),
+    "inplace sort": lambda a, compare: mergesort(a, compare),
+    "inplace sort, <": lambda a, compare: mergesort(a),
+    "buffered merge": lambda a, compare: merge_buffered(a, *_halves(a), compare),
+    "inplace merge": lambda a, compare: merge_inplace(a, *_halves(a), compare),
+    "inplace merge, <": lambda a, compare: merge_inplace(a, *_halves(a)),
+}
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=5), min_size=2, max_size=48),
+    st.sampled_from(sorted(RESIZE_CHECKED)),
+    st.sampled_from(["append", "pop"]),
+    st.data(),
+)
+def test_resizing_comparator_raises_value_error(keys, entry, resize, data):
+    # the comparator appends or pops an item at its N-th call, for any N
+    # the call reaches; whether or not an index then runs off the end, the
+    # sort or merge raises a ValueError that names the resize
+    run = RESIZE_CHECKED[entry]
+    if "merge" in entry:
+        h = len(keys) // 2
+        keys = sorted(keys[:h]) + sorted(keys[h:])
+    resize_at = calls = 0
+    a = []
+
+    def compare(x, y):
+        nonlocal calls
+        calls += 1
+        if calls == resize_at and resize == "append":
+            a.append(a[0])
+        elif calls == resize_at:
+            a.pop()
+        return default_compare(x.key, y.key)
+
+    a[:] = [LessBy(k, t, compare) for t, k in enumerate(keys)]
+    run(a, compare)
+    resize_at = data.draw(st.integers(min_value=1, max_value=calls))
+    calls = 0
+    a[:] = [LessBy(k, t, compare) for t, k in enumerate(keys)]
+    with pytest.raises(ValueError, match="resized"):
+        run(a, compare)
 
 
 @pytest.mark.parametrize("dist", ["uniform", "fewdistinct"])
