@@ -148,9 +148,11 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     medians = [r for r in records if r.rep == "median" and r.verified]
     rows = medians if medians else [r for r in records if r.verified]
     if args.column == "seconds":
-        refused = [r for r in rows if r.comparisons is not None]
-        head = f"{len(refused)} row(s) timed with --count"
-        why = "their seconds include the counting wrapper; fit a run without --count"
+        refused = [
+            r for r in rows if r.comparisons is not None or r.corank_seconds is not None
+        ]
+        head = f"{len(refused)} row(s) timed with --count or --attribute-phases"
+        why = "their seconds include the counting wrapper or the phase timers"
     else:
         refused = [r for r in rows if r.comparisons is None]
         head = f"no comparisons value in {len(refused)} row(s)"

@@ -11,11 +11,12 @@ The in-place node runs the paper's bidirectional co-rank search inline
 (``tests/helpers.paper_co_rank``), not the lower bound of :mod:`coranking`,
 so its counted work is the paper's.  It has two twins that must make the
 same decisions: ``_merge_inplace`` takes a predicate and an optional
-:class:`MergeDepthGauge`; ``_merge_lt`` asks the elements' own ``<`` and
-runs exactly when the predicate is ``operator.lt`` and no gauge is given.
-``tests/test_merge.py`` pins them to the same comparisons and writes.  A
-node gets its depth as an argument, so a raising comparator leaves no depth
-to undo.
+:class:`MergeDepthGauge`; ``_merge_lt`` asks the elements' own ``<``, runs
+exactly when the predicate is ``operator.lt`` and no gauge is given, and
+writes the search for a shorter run of 2 and exchanges of 2 or 3 pairs as
+straight-line code.  ``tests/test_merge.py`` pins the twins to the same
+comparisons and writes.  A node gets its depth as an argument, so a raising
+comparator leaves no depth to undo.
 """
 
 from __future__ import annotations
@@ -267,26 +268,41 @@ def _merge_lt(a: MutableSequence[Any], lo: int, n1: int, n2: int) -> None:
                     return
             return
         m = n1 if n1 < n2 else n2
-        k_low = 0
-        k_high = m
-        k = (m + 1) >> 1
-        while True:
-            if k < m and a[mid + k] < a[mid - k - 1]:
-                if k == k_high:
+        if m == 2 and a[mid + 1] < a[mid - 2]:
+            # the search's tests at k = 1, straight-line: test 1 fires, and
+            # at k = k_high = 2 test 2 asks this pair again, then it ends
+            a[mid + 1] < a[mid - 2]
+            k = 2
+        elif m == 2 and a[mid] < a[mid - 1]:
+            k = 1
+        else:
+            # at m = 2 only an erratic < fires test 2: go on from k = 0
+            k_low = 0
+            k_high, k = (1, 0) if m == 2 else (m, (m + 1) >> 1)
+            while True:
+                if k < m and a[mid + k] < a[mid - k - 1]:
+                    if k == k_high:
+                        break
+                    k_low = k
+                    k += (k_high - k + 1) >> 1
+                elif k > 0 and not a[mid + k - 1] < a[mid - k]:
+                    if k == k_high:
+                        break
+                    k_high = k
+                    k -= (k - k_low + 1) >> 1
+                else:
                     break
-                k_low = k
-                k += (k_high - k + 1) >> 1
-            elif k > 0 and not a[mid + k - 1] < a[mid - k]:
-                if k == k_high:
-                    break
-                k_high = k
-                k -= (k - k_low + 1) >> 1
-            else:
-                break
+            k_low = k_high = m = 0
         j = n1 - k
-        k_low = k_high = m = 0
         if k == 1:
             a[mid - 1], a[mid] = a[mid], a[mid - 1]
+        elif k == 2:
+            a[mid - 2], a[mid] = a[mid], a[mid - 2]
+            a[mid - 1], a[mid + 1] = a[mid + 1], a[mid - 1]
+        elif k == 3:
+            a[mid - 3], a[mid] = a[mid], a[mid - 3]
+            a[mid - 2], a[mid + 1] = a[mid + 1], a[mid - 2]
+            a[mid - 1], a[mid + 2] = a[mid + 2], a[mid - 1]
         else:
             for x in range(mid - k, mid):
                 y = x + k

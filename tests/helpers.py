@@ -221,13 +221,30 @@ _answers = st.lists(st.integers(min_value=-1, max_value=1), max_size=8)
 _cycles = st.lists(st.integers(min_value=-1, max_value=1), min_size=1, max_size=8)
 
 # capped comparators outside the contract: answers that change between
-# calls, or that follow the call count (honest, then a script, then a cycle)
-erratic_comparators = st.one_of(
-    st.builds(changing_comparator, st.integers(0, 2**32 - 1), st.just(100_000)),
-    st.builds(
-        scripted_comparator, _answers, _cycles, st.just(100_000), st.integers(0, 200)
+# calls, or that follow the call count (honest, then a script, then a cycle),
+# drawn as (factory, args): two copies built from one recipe answer one
+# sequence of calls alike
+erratic_recipes = st.one_of(
+    st.tuples(
+        st.just(changing_comparator),
+        st.tuples(st.integers(0, 2**32 - 1), st.just(100_000)),
+    ),
+    st.tuples(
+        st.just(scripted_comparator),
+        st.tuples(_answers, _cycles, st.just(100_000), st.integers(0, 200)),
     ),
 )
+erratic_comparators = erratic_recipes.map(lambda recipe: recipe[0](*recipe[1]))
+
+
+def logged_comparator(compare: Comparator, log: list) -> Comparator:
+    """``compare``, logging the arguments of every call."""
+
+    def logged(x: Any, y: Any) -> int:
+        log.append((x, y))
+        return compare(x, y)
+
+    return logged
 
 
 def paper_co_rank(

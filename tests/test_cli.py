@@ -195,3 +195,30 @@ def test_fit_refuses_seconds_of_count_mode_rows(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["points"] == 3
+
+
+def test_fit_refuses_seconds_of_phase_attributed_rows(tmp_path, capsys):
+    # an --attribute-phases run times the in-place merge's phase timers too,
+    # so its inplace rows' seconds do not fit the sort's time; its buffered
+    # rows run no timer and fit
+    for algo in ("inplace", "buffered"):
+        report = tmp_path / f"{algo}.csv"
+        code, _, _ = run_cli(
+            capsys,
+            "sweep", "--n-min", "64", "--n-max", "256", "--steps", "3",
+            "--algo", algo, "--attribute-phases", "--out", str(report),
+        )
+        assert code == 0
+        code, out, err = run_cli(
+            capsys,
+            "fit", "--input", str(report), "--column", "seconds", "--model", "nlogn",
+        )
+        if algo == "buffered":
+            assert code == 0
+            assert json.loads(out)["points"] == 3
+            continue
+        assert code == 2
+        assert out == ""
+        assert "3 row(s) timed with --count or --attribute-phases" in err
+        for n in (64, 128, 256):
+            assert f"inplace n={n} dist=uniform seed=42 rep=median" in err

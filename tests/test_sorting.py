@@ -11,6 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sortbench.merge as merge_mod
 import sortbench.sorting as sorting_mod
 from sortbench.comparator import default_compare
 from sortbench.datagen import Distribution, generate
@@ -33,7 +34,9 @@ from helpers import (
     changing_comparator,
     elements_asking,
     erratic_comparators,
+    erratic_recipes,
     insertion_sorted,
+    logged_comparator,
     logged_tag_comparator,
     reference_mergesort,
     scripted_comparator,
@@ -147,6 +150,10 @@ def test_default_comparator_sort_matches_the_instrumented_sort(keys, order):
     # writes and give the output of _sort_inplace with a three-way comparator
     if order != "drawn":
         keys = sorted(keys, reverse=order == "reversed")
+    assert_sorts_match(keys)
+
+
+def assert_sorts_match(keys):
     runs = []
     for fast in (True, False):
         log = []
@@ -160,6 +167,82 @@ def test_default_comparator_sort_matches_the_instrumented_sort(keys, order):
             mergesort(a, compare)
         runs.append((log, a.writes, [x.tag for x in a]))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        Distribution("uniform"),
+        Distribution("reversed"),
+        Distribution("sawtooth", period=8),
+        Distribution("fewdistinct", universe=4),
+    ],
+    ids=Distribution.label,
+)
+def test_default_comparator_sort_matches_the_instrumented_sort_at_scale(dist):
+    # the hypothesis pins stop at 80 items; 2^11 items reach exchanges of 8
+    # pairs and more, and merges nested deeper than any of theirs
+    assert_sorts_match(generate(2048, dist, 12))
+
+
+def twin_and_instrumented_runs(entry, n1, n2, make_compare):
+    # one unobserved default-comparator sort or merge of n1 + n2 elements
+    # whose < asks a comparator from make_compare(), and one instrumented
+    # sort or merge asking another from make_compare() directly: each run's
+    # comparator calls, writes and output order
+    def run(a, *compare):
+        if entry == "sort":
+            mergesort(a, *compare)
+        else:
+            merge_inplace(a, n1, n2, *compare)
+
+    fast_log, slow_log = [], []
+    fast = RecordingList(
+        elements_asking(logged_comparator(make_compare(), fast_log), n1 + n2)
+    )
+    ran = AssertionError("the instrumented node ran")
+    with mock.patch.object(sorting_mod, "_sort_inplace", side_effect=ran):
+        with mock.patch.object(merge_mod, "_merge_inplace", side_effect=ran):
+            run(fast)
+    slow = RecordingList(range(n1 + n2))
+    run(slow, logged_comparator(make_compare(), slow_log))
+    fast_run = (fast_log, fast.writes, [x.tag for x in fast])
+    return fast_run, (slow_log, slow.writes, list(slow))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["sort", "merge"]),
+    st.integers(min_value=0, max_value=20),
+    st.integers(min_value=0, max_value=20),
+    erratic_recipes,
+)
+def test_default_comparator_twins_match_the_instrumented_node_when_less_than_is_erratic(
+    entry, n1, n2, recipe
+):
+    # sorting._sort_lt and merge._merge_lt must make the instrumented node's
+    # decisions for any answers, not only for an order's: two copies of one
+    # erratic comparator hear the same calls, and both paths make the same
+    # writes and leave the same order
+    factory, args = recipe
+    fast, slow = twin_and_instrumented_runs(entry, n1, n2, lambda: factory(*args))
+    assert fast == slow
+
+
+@pytest.mark.parametrize("n1, n2", [(2, 2), (2, 3), (3, 2)])
+def test_default_comparator_merge_matches_the_instrumented_merge_after_the_m2_fallback(
+    n1, n2
+):
+    # with a shorter run of 2 the search asks test 1, then test 2 on the
+    # node's first pair; -1, 1, 1 fires test 2 there, which only an erratic
+    # comparator can do, and the search goes on from k = 0 with test 1 at
+    # k = 0 and at k = 1
+    fast, slow = twin_and_instrumented_runs(
+        "merge", n1, n2, lambda: scripted_comparator([-1, 1, 1], [-1], cap=100)
+    )
+    assert fast == slow
+    first, test_1 = (n1, n1 - 1), (n1 + 1, n1 - 2)
+    assert fast[0][:5] == [first, test_1, first, first, test_1]
 
 
 def test_two_element_sort_records_the_merge_node_depth():
