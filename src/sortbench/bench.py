@@ -223,10 +223,10 @@ def _median_summary(records: list[BenchRecord]) -> BenchRecord:
 def geometric_sizes(n_min: int, n_max: int, steps: int) -> list[int]:
     """Geometric ladder of ``steps`` sizes from ``n_min`` to ``n_max``,
     rounded to integers and deduplicated."""
-    if n_min < 1 or n_max < n_min or steps < 1:
-        raise ValueError("need 1 <= n_min <= n_max and steps >= 1")
-    if steps == 1 or n_min == n_max:
-        return [n_min] if n_min == n_max else [n_min, n_max]
+    if n_min < 1 or n_max < n_min or steps < 1 or (steps == 1 and n_min < n_max):
+        raise ValueError("need 1 <= n_min <= n_max, and steps >= 2 when n_min < n_max")
+    if n_min == n_max:
+        return [n_min]
     ratio = (n_max / n_min) ** (1.0 / (steps - 1))
     sizes = {n_min, n_max}
     for t in range(1, steps - 1):

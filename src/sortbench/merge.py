@@ -10,13 +10,12 @@ one that resizes the sequence gets a ValueError.
 The in-place node runs the paper's bidirectional co-rank search inline
 (``tests/helpers.paper_co_rank``), not the lower bound of :mod:`coranking`,
 so its counted work is the paper's.  It has two twins that must make the
-same decisions: ``_merge_inplace`` takes a predicate and an optional
-:class:`MergeDepthGauge`; ``_merge_lt`` asks the elements' own ``<``, runs
-exactly when the predicate is ``operator.lt`` and no gauge is given, and
-writes the search for a shorter run of 2 and exchanges of 2 or 3 pairs as
-straight-line code.  ``tests/test_merge.py`` pins the twins to the same
-comparisons and writes.  A node gets its depth as an argument, so a raising
-comparator leaves no depth to undo.
+same decisions: ``_merge_inplace`` takes a predicate and optional
+:class:`PhaseTimes` and returns its depth; ``_merge_lt`` asks the elements'
+own ``<``, runs exactly when the predicate is ``operator.lt`` and no gauge
+is given, and writes the search for a shorter run of 2 and exchanges of 2
+or 3 pairs as straight-line code.  ``tests/test_merge.py`` pins the twins to
+the same comparisons and writes.  Only a caller's gauge runs the timers.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ def _check_length(seq: MutableSequence[Any], n: int) -> None:
 
 def _run_merge(
     seq: MutableSequence[Any], n1: int, n2: int, start: int, node: Any, *args: Any
-) -> None:
+) -> Any:
     n = len(seq)
     if n1 < 0 or n2 < 0 or start < 0 or start + n1 + n2 > n:
         raise ValueError(
@@ -61,11 +60,12 @@ def _run_merge(
             f"{n} items"
         )
     try:
-        node(seq, start, n1, n2, *args)
+        result = node(seq, start, n1, n2, *args)
     except IndexError:
         _check_length(seq, n)
         raise
     _check_length(seq, n)
+    return result
 
 
 def merge_buffered(
@@ -133,14 +133,16 @@ def merge_inplace(
     """Stably merge two adjacent sorted runs without a scratch buffer.
 
     Output is identical, element for element, to :func:`merge_buffered` on
-    the same input.  ``gauge``, when given, records the peak recursion depth
-    and accumulates co-ranking vs rotation wall time.
+    the same input.  ``gauge``, when given, accumulates co-ranking vs
+    rotation wall time and, if the merge completes, keeps its peak depth.
     """
     less = as_less(compare)
     if less is operator.lt and gauge is None:
         _run_merge(seq, n1, n2, start, _merge_lt)
     else:
-        _run_merge(seq, n1, n2, start, _merge_inplace, less, gauge, 1)
+        depth = _run_merge(seq, n1, n2, start, _merge_inplace, less, gauge)
+        if gauge is not None and depth > gauge.peak:
+            gauge.peak = depth
 
 
 def _merge_inplace(
@@ -149,14 +151,13 @@ def _merge_inplace(
     n1: int,
     n2: int,
     less: Less,
-    gauge: MergeDepthGauge | None,
-    depth: int,
-) -> None:
-    if gauge is not None and depth > gauge.peak:
-        gauge.peak = depth
+    phases: PhaseTimes | None,
+) -> int:
+    # returns its depth: 1 + the deepest child, one under each fired first test
+    below = 0
     while n1 > 0 and n2 > 0:
         mid = lo + n1
-        if gauge is not None:
+        if phases is not None:
             t0 = perf_counter()
         # co-rank i = n1 over a[lo:mid] and a[mid:mid+n2], inline: the
         # paper's bidirectional search (tests/helpers.paper_co_rank), asking
@@ -166,8 +167,8 @@ def _merge_inplace(
         # Its first test, at k = 0, is peeled: if it does not fire, the runs
         # are already in order and both halves are base cases.
         if not less(a[mid], a[mid - 1]):
-            if gauge is not None:
-                gauge.corank_seconds += perf_counter() - t0
+            if phases is not None:
+                phases.corank_seconds += perf_counter() - t0
             break
         if n1 == 1 or n2 == 1:
             # one element walks through the other run, one node per step:
@@ -178,21 +179,19 @@ def _merge_inplace(
             # answers the second test otherwise also ends it.
             step, stop = (1, mid + n2) if n1 == 1 else (-1, lo)
             while less(a[mid], a[mid - 1]):
-                if gauge is not None:
+                if phases is not None:
                     t1 = perf_counter()
-                    gauge.corank_seconds += t1 - t0
+                    phases.corank_seconds += t1 - t0
                 a[mid - 1], a[mid] = a[mid], a[mid - 1]
-                if gauge is not None:
+                if phases is not None:
                     t0 = perf_counter()
-                    gauge.rotation_seconds += t0 - t1
+                    phases.rotation_seconds += t0 - t1
                 mid += step
                 if mid == stop or not less(a[mid], a[mid - 1]):
                     break
-            if gauge is not None:
-                gauge.corank_seconds += perf_counter() - t0
-                if depth >= gauge.peak:
-                    gauge.peak = depth + 1
-            break
+            if phases is not None:
+                phases.corank_seconds += perf_counter() - t0
+            return (below or 1) + 1
         # the search goes on where the first test, having fired, leaves it
         m = n1 if n1 < n2 else n2
         k_low = 0
@@ -223,12 +222,10 @@ def _merge_inplace(
         # ints above 256 are heap objects: drop them before recursing, or
         # every frame on the stack keeps its own (tracemalloc sees them)
         k_low = k_high = m = 0
-        # the search's end: the exchange's start, the smaller child's depth
-        if gauge is not None:
+        # the search's end: the exchange's start
+        if phases is not None:
             t1 = perf_counter()
-            gauge.corank_seconds += t1 - t0
-            if depth >= gauge.peak:
-                gauge.peak = depth + 1
+            phases.corank_seconds += t1 - t0
         # middle block a[mid-k : mid+k]: exchange its halves (a comparator
         # that answers one pair two ways can leave k = 0: nothing moves)
         if k == 1:
@@ -238,19 +235,23 @@ def _merge_inplace(
                 y = x + k
                 a[x], a[y] = a[y], a[x]
             x = y = 0
-        if gauge is not None:
-            gauge.rotation_seconds += perf_counter() - t1
+        if phases is not None:
+            phases.rotation_seconds += perf_counter() - t1
         # halves are independent: recurse into the smaller, loop on the
         # larger; a side with an empty run needs no node
+        d = 1
         if n1 <= n2:
             if j > 0:
-                _merge_inplace(a, lo, j, k, less, gauge, depth + 1)
+                d = _merge_inplace(a, lo, j, k, less, phases)
             lo = mid
             n1, n2 = k, n2 - k
         else:
             if k < n2:
-                _merge_inplace(a, mid, k, n2 - k, less, gauge, depth + 1)
+                d = _merge_inplace(a, mid, k, n2 - k, less, phases)
             n1, n2 = j, k
+        if d > below:
+            below = d
+    return below + 1
 
 
 def _merge_lt(a: MutableSequence[Any], lo: int, n1: int, n2: int) -> None:
@@ -330,5 +331,5 @@ def count_inplace_merge_comparisons(
     comparison, and return the number of comparator invocations."""
     stats = SortStats()
     less = counting_comparator(as_less(compare), stats)
-    _run_merge(seq, n1, n2, start, _merge_inplace, less, None, 1)
+    _run_merge(seq, n1, n2, start, _merge_inplace, less, None)
     return stats.comparisons

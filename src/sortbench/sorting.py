@@ -11,12 +11,11 @@ identical, stable output; they differ only in how adjacent runs are merged:
 
 No small-array cutoff to another sort: these are deliberately plain
 implementations so measured comparison counts reflect the algorithms
-themselves.  The in-place driver hands every merge it starts one optional
-observer (:class:`merge.MergeDepthGauge`), at depth 1: a counted sort's own
-gauge, else the caller's ``phases``.  An unobserved sort with the default
-comparator runs the driver's twin ``_sort_lt`` over ``merge._merge_lt``,
-which compares with the elements' own ``<`` and sorts a two-element half
-inline with the calls of the merge node ``merge(1, 1)``.
+themselves.  The in-place driver returns the deepest merge it ran; only a
+caller's ``phases`` runs the merge's timers.  A sort with the default
+comparator and no observer runs the driver's twin ``_sort_lt`` over
+``merge._merge_lt``, which compares with the elements' own ``<`` and sorts a
+two-element half inline with the calls of the merge node ``merge(1, 1)``.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Any, MutableSequence
 
 from .comparator import Comparator, Less, as_less, default_compare
 from .instrumentation import SortStats, counting_comparator
-from .merge import MergeDepthGauge, PhaseTimes, _check_length, _merge_buffered
+from .merge import PhaseTimes, _check_length, _merge_buffered
 from .merge import _merge_inplace, _merge_lt
 
 
@@ -50,36 +49,34 @@ def mergesort(
     wall time, peak merge depth (0 for BUFFERED) and, if ``seq`` counts its
     writes (see MoveCountingList), moves are recorded.
     ``phases``, a :class:`PhaseTimes`, covers every sort it observed: their
-    summed co-ranking vs exchange wall time and their largest merge depth.
-    Raises ValueError if the comparator resizes ``seq``.
+    summed co-ranking vs exchange wall time and the largest merge depth of
+    those that completed.  Raises ValueError if the comparator resizes ``seq``.
     """
     n = len(seq)
-    gauge = MergeDepthGauge() if stats is not None else phases
     less = as_less(compare)
     if stats is not None:
         less = counting_comparator(less, stats)
     moves_before = getattr(seq, "move_count", 0)
+    peak = 0
     t0 = perf_counter()
     try:
         if strategy is MergeStrategy.BUFFERED:
             _sort_buffered(seq, 0, n, less, [None] * n)
-        elif n > 1 and less is operator.lt and gauge is None:
+        elif n > 1 and less is operator.lt and phases is None:
             _sort_lt(seq, 0, n)
         elif n > 1:
-            _sort_inplace(seq, 0, n, less, gauge)
+            peak = _sort_inplace(seq, 0, n, less, phases)
     except IndexError:
         _check_length(seq, n)
         raise
     elapsed = perf_counter() - t0
     _check_length(seq, n)
+    if phases is not None and peak > phases.peak:
+        phases.peak = peak
     if stats is not None:
         stats.wall_seconds = elapsed
-        stats.max_merge_depth = gauge.peak
+        stats.max_merge_depth = peak
         stats.moves = getattr(seq, "move_count", 0) - moves_before
-        if phases is not None:
-            phases.peak = max(phases.peak, gauge.peak)
-            phases.corank_seconds += gauge.corank_seconds
-            phases.rotation_seconds += gauge.rotation_seconds
 
 
 def _sort_inplace(
@@ -87,15 +84,17 @@ def _sort_inplace(
     lo: int,
     n: int,
     less: Less,
-    gauge: MergeDepthGauge | None,
-) -> None:
+    phases: PhaseTimes | None,
+) -> int:
     # callers guarantee n >= 2, so both halves are nonempty
     mid = n >> 1
-    if mid > 1:
-        _sort_inplace(a, lo, mid, less, gauge)
+    peak = _sort_inplace(a, lo, mid, less, phases) if mid > 1 else 0
     if n - mid > 1:
-        _sort_inplace(a, lo + mid, n - mid, less, gauge)
-    _merge_inplace(a, lo, mid, n - mid, less, gauge, 1)
+        d = _sort_inplace(a, lo + mid, n - mid, less, phases)
+        if d > peak:
+            peak = d
+    d = _merge_inplace(a, lo, mid, n - mid, less, phases)
+    return d if d > peak else peak
 
 
 def _sort_lt(a: MutableSequence[Any], lo: int, n: int) -> None:

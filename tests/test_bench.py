@@ -115,9 +115,12 @@ def test_geometric_sizes():
     sizes = geometric_sizes(100, 100_000, 4)
     assert sizes[0] == 100 and sizes[-1] == 100_000
     assert sizes == sorted(set(sizes))
-    assert geometric_sizes(5, 5, 3) == [5]
+    assert geometric_sizes(5, 5, 3) == geometric_sizes(5, 5, 1) == [5]
     with pytest.raises(ValueError):
         geometric_sizes(10, 5, 3)
+    # one step cannot reach both ends of a range
+    with pytest.raises(ValueError):
+        geometric_sizes(100, 1000, 1)
 
 
 def test_fit_exact_model_recovers_constant():

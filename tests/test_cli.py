@@ -49,6 +49,14 @@ def test_sweep_ladder(capsys):
     assert sorted({r.n for r in records}) == [64, 181, 512]
 
 
+def test_sweep_of_one_step_over_a_range_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--n-min", "100", "--n-max", "1000", "--steps", "1"
+    )
+    assert (code, out) == (2, "")
+    assert "steps" in err
+
+
 def test_fit_roundtrip(tmp_path, capsys):
     report = tmp_path / "counts.csv"
     code, _, _ = run_cli(

@@ -17,6 +17,7 @@ from sortbench.merge import (
     merge_buffered,
     merge_inplace,
 )
+from sortbench.sorting import mergesort
 
 from helpers import (
     DepthPeak,
@@ -152,21 +153,25 @@ def test_depth_gauge_stays_logarithmic():
 
 
 def test_gauge_reused_after_a_raising_merge_reads_a_fresh_peak():
-    # a merge that a comparator aborts must leave nothing in the gauge that
-    # the next merge through it would count on top of its own depth
+    # a merge or sort that a comparator aborts records no depth in the gauge,
+    # so the next one through it reads its own peak
     def raising(x, y):
         raise RuntimeError("comparator failed")
 
-    reused = MergeDepthGauge()
-    with pytest.raises(RuntimeError):
-        merge_inplace([3, 4, 1, 2], 2, 2, raising, gauge=reused)
-    reused.peak = 0
-    fresh = MergeDepthGauge()
-    for gauge in (reused, fresh):
-        base = [3, 4, 1, 2]
-        merge_inplace(base, 2, 2, gauge=gauge)
-        assert base == [1, 2, 3, 4]
-    assert reused.peak == fresh.peak == 2
+    for run in (
+        lambda a, gauge, *compare: merge_inplace(a, 2, 2, *compare, gauge=gauge),
+        lambda a, gauge, *compare: mergesort(a, *compare, phases=gauge),
+    ):
+        reused = MergeDepthGauge()
+        with pytest.raises(RuntimeError):
+            run([3, 4, 1, 2], reused, raising)
+        assert reused.peak == 0
+        fresh = MergeDepthGauge()
+        for gauge in (reused, fresh):
+            base = [3, 4, 1, 2]
+            run(base, gauge)
+            assert base == [1, 2, 3, 4]
+        assert reused.peak == fresh.peak == 2
 
 
 def test_comparison_probe_tiny_cases():

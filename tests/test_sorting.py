@@ -22,7 +22,12 @@ from sortbench.instrumentation import (
     key_comparator,
     verify_stable_permutation,
 )
-from sortbench.merge import PhaseTimes, merge_buffered, merge_inplace
+from sortbench.merge import (
+    PhaseTimes,
+    count_inplace_merge_comparisons,
+    merge_buffered,
+    merge_inplace,
+)
 from sortbench.sorting import MergeStrategy, mergesort
 
 from helpers import (
@@ -127,16 +132,17 @@ def test_inplace_sort_asks_the_comparisons_of_the_plain_recursion(keys):
     # the driver sorts two-element halves without a merge node and the
     # merge runs its search inline; together they must ask the same pairs,
     # in the same order, as helpers.reference_mergesort, and reach its peak
-    # merge depth
+    # merge depth, timed through phases or counted through stats alone
     tagged = [(k, t) for t, k in enumerate(keys)]
-    got, want = list(tagged), list(tagged)
-    got_log, want_log = [], []
-    phases, peak = PhaseTimes(), DepthPeak()
+    got, counted, want = list(tagged), list(tagged), list(tagged)
+    got_log, counted_log, want_log = [], [], []
+    phases, stats, peak = PhaseTimes(), SortStats(), DepthPeak()
     mergesort(got, logged_key_comparator(got_log), phases=phases)
+    mergesort(counted, logged_key_comparator(counted_log), stats=stats)
     reference_mergesort(want, logged_key_comparator(want_log), peak=peak)
-    assert got_log == want_log
-    assert got == want
-    assert phases.peak == peak.peak
+    assert got_log == counted_log == want_log
+    assert got == counted == want
+    assert phases.peak == stats.max_merge_depth == peak.peak
 
 
 @settings(deadline=None)
@@ -276,6 +282,30 @@ def test_stats_describe_one_sort_and_phases_every_sort_it_observed():
     assert stats.max_merge_depth == fresh.max_merge_depth == 1
     assert phases.peak == deep
     assert phases.corank_seconds > corank_before
+
+
+def test_only_a_callers_phase_times_run_the_merge_timers(monkeypatch):
+    # a counted sort or merge gets its depth from the merge node's return
+    # value and calls no merge timer; a caller's PhaseTimes still runs them
+    def timer():
+        raise AssertionError("a merge timer ran")
+
+    rng = random.Random(53)
+    uniform = [rng.random() for _ in range(512)]
+    monkeypatch.setattr(merge_mod, "perf_counter", timer)
+    for data in (uniform, sorted(uniform, reverse=True)):
+        for compare in ((), (lambda x, y: (x > y) - (x < y),)):
+            stats = SortStats()
+            a = list(data)
+            mergesort(a, *compare, stats=stats)
+            assert a == sorted(data) and stats.max_merge_depth > 1
+        runs = sorted(data[:256]) + sorted(data[256:])
+        assert count_inplace_merge_comparisons(runs, 256, 256) > 0
+        assert runs == sorted(data)
+    monkeypatch.undo()
+    phases = PhaseTimes()
+    mergesort(list(uniform), phases=phases)
+    assert phases.corank_seconds + phases.rotation_seconds > 0
 
 
 @pytest.mark.parametrize("data, moves", [(range(1024), 5120), (range(1024, 0, -1), 10240)])
