@@ -122,6 +122,11 @@ def _write_report(args: argparse.Namespace, records) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    added = ["the counting wrapper"] if args.count else []
+    if args.attribute_phases and args.algo == "inplace":
+        added.append("the phase timers")
+    if added:
+        sys.stderr.write(f"note: seconds include {' and '.join(added)}\n")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -3,18 +3,21 @@
 :func:`merge_buffered` is the classic merge through a buffer as long as the
 first run.  :func:`merge_inplace` needs no buffer: O(n) comparisons, O(n log
 n) moves, and a depth kept logarithmic by recursing into the smaller half.
-Both give the same stable output and read and write single items, so they
-take any mutable sequence.  A comparator that raises leaves a permutation;
-one that resizes the sequence gets a ValueError.
+Both give the same stable output on any mutable sequence, reading and
+writing single items; only ``_merge_lt`` swaps 16 or more pairs in an exact
+``list`` by slices of 16 (a list subclass may log single writes; a numpy
+array's slices are views that would alias).  A raising comparator leaves a
+permutation; a resizing one gets a ValueError.
 
 The in-place node runs the paper's bidirectional co-rank search inline
 (``tests/helpers.paper_co_rank``), not the lower bound of :mod:`coranking`,
 so its counted work is the paper's.  It has two twins that must make the
 same decisions: ``_merge_inplace`` takes a predicate and optional
 :class:`PhaseTimes` and returns its depth; ``_merge_lt`` asks the elements'
-own ``<``, runs exactly when the predicate is ``operator.lt`` and no gauge
-is given, and writes the search for a shorter run of 2 and exchanges of 2
-or 3 pairs as straight-line code.  ``tests/test_merge.py`` pins the twins to
+own ``<`` over bounds ``lo, mid, hi`` that a child shares with its parent,
+runs exactly when the predicate is ``operator.lt`` and no gauge is given,
+and writes the search for a shorter run of 2 and exchanges of 2 or 3 pairs
+as straight-line code.  ``tests/test_merge.py`` pins the twins to
 the same comparisons and writes.  Only a caller's gauge runs the timers.
 """
 
@@ -138,7 +141,8 @@ def merge_inplace(
     """
     less = as_less(compare)
     if less is operator.lt and gauge is None:
-        _run_merge(seq, n1, n2, start, _merge_lt)
+        mid = start + n1
+        _run_merge(seq, n1, n2, start, lambda *_: _merge_lt(seq, start, mid, mid + n2))
     else:
         depth = _run_merge(seq, n1, n2, start, _merge_inplace, less, gauge)
         if gauge is not None and depth > gauge.peak:
@@ -254,14 +258,14 @@ def _merge_inplace(
     return below + 1
 
 
-def _merge_lt(a: MutableSequence[Any], lo: int, n1: int, n2: int) -> None:
-    # _merge_inplace's twin: the same tests, asked with the elements' own <
-    while n1 > 0 and n2 > 0:
-        mid = lo + n1
+def _merge_lt(a: MutableSequence[Any], lo: int, mid: int, hi: int) -> None:
+    # _merge_inplace's twin over a[lo:mid] and a[mid:hi], with the elements' <
+    while lo < mid < hi:
         if not a[mid] < a[mid - 1]:
             return
+        n1, n2 = mid - lo, hi - mid
         if n1 == 1 or n2 == 1:
-            step, stop = (1, mid + n2) if n1 == 1 else (-1, lo)
+            step, stop = (1, hi) if n1 == 1 else (-1, lo)
             while a[mid] < a[mid - 1]:
                 a[mid - 1], a[mid] = a[mid], a[mid - 1]
                 mid += step
@@ -294,7 +298,6 @@ def _merge_lt(a: MutableSequence[Any], lo: int, n1: int, n2: int) -> None:
                 else:
                     break
             k_low = k_high = m = 0
-        j = n1 - k
         if k == 1:
             a[mid - 1], a[mid] = a[mid], a[mid - 1]
         elif k == 2:
@@ -305,19 +308,27 @@ def _merge_lt(a: MutableSequence[Any], lo: int, n1: int, n2: int) -> None:
             a[mid - 2], a[mid + 1] = a[mid + 1], a[mid - 2]
             a[mid - 1], a[mid + 2] = a[mid + 2], a[mid - 1]
         else:
-            for x in range(mid - k, mid):
+            s = mid - k
+            if k >= 16 and type(a) is list and mid + k <= len(a):
+                # only full slices of 16: a shrunk list takes the loop, raising
+                s = mid - k % 16
+                for x in range(mid - k, s, 16):
+                    y = x + k
+                    a[x:x + 16], a[y:y + 16] = a[y:y + 16], a[x:x + 16]
+            for x in range(s, mid):
                 y = x + k
                 a[x], a[y] = a[y], a[x]
-            x = y = 0
+            x = y = s = 0
         if n1 <= n2:
-            if j > 0:
-                _merge_lt(a, lo, j, k)
-            lo = mid
-            n1, n2 = k, n2 - k
+            if k < n1:
+                n1 = n2 = 0
+                _merge_lt(a, lo, mid - k, mid)
+            lo, mid = mid, mid + k
         else:
             if k < n2:
-                _merge_lt(a, mid, k, n2 - k)
-            n1, n2 = j, k
+                n1 = n2 = 0
+                _merge_lt(a, mid, mid + k, hi)
+            mid, hi = mid - k, mid
 
 
 def count_inplace_merge_comparisons(

@@ -7,7 +7,7 @@ identical, stable output; they differ only in how adjacent runs are merged:
   an n-slot scratch buffer allocated once per sort and reused by every
   merge; a merge leaves the second run's tail where it already is.
 * ``MergeStrategy.INPLACE``: no scratch buffer; extra space is the O(log n)
-  recursion bookkeeping of sort driver plus in-place merge.
+  recursion bookkeeping and, in an exact list, three 16-slot slice arrays.
 
 No small-array cutoff to another sort: these are deliberately plain
 implementations so measured comparison counts reflect the algorithms
@@ -97,19 +97,18 @@ def _sort_inplace(
     return d if d > peak else peak
 
 
-def _sort_lt(a: MutableSequence[Any], lo: int, n: int) -> None:
-    # _sort_inplace's twin; a two-element half is merge(1, 1) done inline
-    mid = n >> 1
-    if mid > 2:
+def _sort_lt(a: MutableSequence[Any], lo: int, hi: int) -> None:
+    # _sort_inplace's twin over a[lo:hi]; a two-element half is merge(1, 1) inline
+    mid = (lo + hi) >> 1
+    if mid - lo > 2:
         _sort_lt(a, lo, mid)
-    elif mid == 2 and a[lo + 1] < a[lo] and a[lo + 1] < a[lo]:
+    elif mid - lo == 2 and a[lo + 1] < a[lo] and a[lo + 1] < a[lo]:
         a[lo], a[lo + 1] = a[lo + 1], a[lo]
-    hi = lo + mid
-    if n - mid > 2:
-        _sort_lt(a, hi, n - mid)
-    elif n - mid == 2 and a[hi + 1] < a[hi] and a[hi + 1] < a[hi]:
-        a[hi], a[hi + 1] = a[hi + 1], a[hi]
-    _merge_lt(a, lo, mid, n - mid)
+    if hi - mid > 2:
+        _sort_lt(a, mid, hi)
+    elif hi - mid == 2 and a[mid + 1] < a[mid] and a[mid + 1] < a[mid]:
+        a[mid], a[mid + 1] = a[mid + 1], a[mid]
+    _merge_lt(a, lo, mid, hi)
 
 
 def _sort_buffered(

@@ -230,3 +230,38 @@ def test_fit_refuses_seconds_of_phase_attributed_rows(tmp_path, capsys):
         assert "3 row(s) timed with --count or --attribute-phases" in err
         for n in (64, 128, 256):
             assert f"inplace n={n} dist=uniform seed=42 rep=median" in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "flags, note",
+    [
+        ((), ""),
+        (("--count",), "note: seconds include the counting wrapper\n"),
+        (("--attribute-phases",), "note: seconds include the phase timers\n"),
+        (("--algo", "buffered", "--attribute-phases"), ""),
+        (
+            ("--count", "--attribute-phases"),
+            "note: seconds include the counting wrapper and the phase timers\n",
+        ),
+    ],
+    ids=["plain", "count", "phases", "buffered-phases", "count-phases"],
+)
+def test_observed_runs_say_on_stderr_what_their_seconds_include(
+    tmp_path, capsys, command, flags, note
+):
+    # a --count or in-place --attribute-phases run times its observers too;
+    # one stderr line says so, and the report itself stays as it was
+    sizes = ("--n", "128")
+    if command == "sweep":
+        sizes = ("--n-min", "64", "--n-max", "128", "--steps", "2")
+    for fmt in ("csv", "json"):
+        code, out, err = run_cli(capsys, command, *sizes, *flags, "--format", fmt)
+        assert (code, err) == (0, note)
+        assert "note" not in out
+        records = parse_report(out, fmt)
+        assert all(r.verified for r in records)
+        assert out == bench_mod.emit_report(records, fmt)
+    report = tmp_path / "report.csv"
+    code, out, err = run_cli(capsys, command, *sizes, *flags, "--out", str(report))
+    assert (code, out, err) == (0, "", note)

@@ -270,6 +270,36 @@ def test_default_comparator_merge_matches_the_instrumented_merge(
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("start", [0, 5])
+def test_exact_list_merge_exchanges_every_block_size_as_a_list_subclass_does(start):
+    # an exact list exchanges a large middle block by slices and the pairs
+    # left over one at a time; a list subclass such as RecordingList takes
+    # the element loop.  Runs A + B and C + D with A < C < B < D make the
+    # top node exchange B and C, k pairs, for every k up to 64: every
+    # remainder of a slice of 12 or 16.  Both lists must end the same
+    rng = random.Random(start)
+
+    def keys(low, count):
+        return sorted(rng.randrange(low, low + 8) for _ in range(count))
+
+    for k, (p, q) in itertools.product(range(1, 65), [(0, 0), (3, 7), (9, 2)]):
+        run1 = keys(0, p) + keys(20, k)
+        run2 = keys(10, k) + keys(30, q)
+        tagged = [(-1, -1 - t) for t in range(start)] + [
+            (key, t) for t, key in enumerate(run1 + run2)
+        ]
+        key_less = lambda x, y: default_compare(x.key, y.key)
+        exact = [LessBy(key, t, key_less) for key, t in tagged]
+        recorded = RecordingList(exact)
+        merge_inplace(exact, p + k, k + q, start=start)
+        merge_inplace(recorded, p + k, k + q, start=start)
+        first = sorted(recorded.writes[: 2 * k])
+        assert first == list(range(start + p, start + p + 2 * k)), k
+        assert [x.tag for x in exact] == [x.tag for x in recorded], (k, p, q)
+        stable = [t for _, t in sorted(tagged, key=lambda x: x[0])]
+        assert [x.tag for x in exact] == stable, (k, p, q)
+
+
 @pytest.mark.parametrize("start", [0, 3])
 def test_single_element_walk_matches_reference(start):
     # a single element merged into every run of keys {0, 1, 2} up to length

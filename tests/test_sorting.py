@@ -159,36 +159,65 @@ def test_default_comparator_sort_matches_the_instrumented_sort(keys, order):
     assert_sorts_match(keys)
 
 
-def assert_sorts_match(keys):
+def assert_sorts_match(keys, container=RecordingList):
+    # a RecordingList logs the writes too; an exact list cannot
     runs = []
     for fast in (True, False):
         log = []
         compare = logged_tag_comparator(log)
-        a = RecordingList(LessBy(k, t, compare) for t, k in enumerate(keys))
+        a = container(LessBy(k, t, compare) for t, k in enumerate(keys))
         if fast:
             ran = AssertionError("the instrumented driver ran")
             with mock.patch.object(sorting_mod, "_sort_inplace", side_effect=ran):
                 mergesort(a)
         else:
             mergesort(a, compare)
-        runs.append((log, a.writes, [x.tag for x in a]))
+        runs.append((log, getattr(a, "writes", None), [x.tag for x in a]))
     assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize(
-    "dist",
-    [
-        Distribution("uniform"),
-        Distribution("reversed"),
-        Distribution("sawtooth", period=8),
-        Distribution("fewdistinct", universe=4),
-    ],
-    ids=Distribution.label,
-)
+SCALE_DISTRIBUTIONS = [
+    Distribution("uniform"),
+    Distribution("reversed"),
+    Distribution("sawtooth", period=8),
+    Distribution("fewdistinct", universe=4),
+]
+
+
+@pytest.mark.parametrize("dist", SCALE_DISTRIBUTIONS, ids=Distribution.label)
 def test_default_comparator_sort_matches_the_instrumented_sort_at_scale(dist):
     # the hypothesis pins stop at 80 items; 2^11 items reach exchanges of 8
     # pairs and more, and merges nested deeper than any of theirs
     assert_sorts_match(generate(2048, dist, 12))
+
+
+@pytest.mark.parametrize("n", [2048, 5000])
+@pytest.mark.parametrize("dist", SCALE_DISTRIBUTIONS, ids=Distribution.label)
+def test_default_comparator_sort_of_an_exact_list_matches_the_instrumented_sort(
+    dist, n
+):
+    # a list subclass such as RecordingList exchanges one pair at a time;
+    # an exact list exchanges large middle blocks by slices, which must
+    # leave the comparisons and the output order as they were
+    assert_sorts_match(generate(n, dist, 12), list)
+
+
+def test_default_comparator_sort_peak_grows_slowly_with_n():
+    # at its peak a sort holds little but one exchange's slices and the ints
+    # in its frames, 32 B each above 256.  Frames that pass their own ints
+    # down as bounds add at most two of them per doubling of n
+    peaks = []
+    for e in range(10, 17):
+        a = [float(x) for x in range(2**e, 0, -1)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mergesort(a)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert a == [float(x) for x in range(1, 2**e + 1)]
+    assert max(b - a for a, b in zip(peaks, peaks[1:])) <= 64, peaks
 
 
 def twin_and_instrumented_runs(entry, n1, n2, make_compare):
@@ -562,6 +591,35 @@ def test_resizing_comparator_raises_value_error(keys, entry, resize, data):
     a[:] = [LessBy(k, t, compare) for t, k in enumerate(keys)]
     with pytest.raises(ValueError, match="resized"):
         run(a, compare)
+
+
+@pytest.mark.parametrize("resize", ["append", "pop"])
+@pytest.mark.parametrize("entry", ["inplace merge, <", "inplace sort, <"])
+def test_resize_before_a_sliced_exchange_raises_value_error(entry, resize):
+    # keys [1]*16 + [0]*16 make the top node exchange k = 16 pairs, which an
+    # exact list does by slices; a pop at the search's last call must not
+    # let a short slice and a full one restore the length.  Every call N
+    run = RESIZE_CHECKED[entry]
+    keys = [1] * 16 + [0] * 16
+    resize_at = calls = 0
+    a = []
+
+    def compare(x, y):
+        nonlocal calls
+        calls += 1
+        if calls == resize_at and resize == "append":
+            a.append(a[0])
+        elif calls == resize_at:
+            a.pop()
+        return default_compare(x.key, y.key)
+
+    a[:] = [LessBy(k, t, compare) for t, k in enumerate(keys)]
+    run(a, compare)
+    for resize_at in range(1, calls + 1):
+        calls = 0
+        a[:] = [LessBy(k, t, compare) for t, k in enumerate(keys)]
+        with pytest.raises(ValueError, match="resized"):
+            run(a, compare)
 
 
 @pytest.mark.parametrize("dist", ["uniform", "fewdistinct"])
