@@ -102,6 +102,8 @@ def _distribution(args: argparse.Namespace) -> Distribution:
 
 
 def _config(args: argparse.Namespace, n: int, tagged: bool = False) -> BenchConfig:
+    if getattr(args, "attribute_phases", False) and args.algo != "inplace":
+        raise ValueError(f"--attribute-phases needs --algo inplace, not {args.algo}")
     return BenchConfig(
         algorithm=args.algo,
         n=n,
@@ -123,7 +125,7 @@ def _write_report(args: argparse.Namespace, records) -> None:
     else:
         sys.stdout.write(text)
     added = ["the counting wrapper"] if args.count else []
-    if args.attribute_phases and args.algo == "inplace":
+    if args.attribute_phases:
         added.append("the phase timers")
     if added:
         sys.stderr.write(f"note: seconds include {' and '.join(added)}\n")

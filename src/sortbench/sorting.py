@@ -15,7 +15,9 @@ themselves.  The in-place driver returns the deepest merge it ran; only a
 caller's ``phases`` runs the merge's timers.  A sort with the default
 comparator and no observer runs the driver's twin ``_sort_lt`` over
 ``merge._merge_lt``, which compares with the elements' own ``<`` and sorts a
-two-element half inline with the calls of the merge node ``merge(1, 1)``.
+two-element half inline with the calls of the merge node ``merge(1, 1)``, and
+a block of four with those of two such halves and ``merge(2, 2)``: that halves
+the driver's ``_merge_lt`` calls and cuts a reversed sort's time by about 15%.
 """
 
 from __future__ import annotations
@@ -98,8 +100,34 @@ def _sort_inplace(
 
 
 def _sort_lt(a: MutableSequence[Any], lo: int, hi: int) -> None:
-    # _sort_inplace's twin over a[lo:hi]; a two-element half is merge(1, 1) inline
+    # _sort_inplace's twin over a[lo:hi]; a two-element half is merge(1, 1)
+    # inline, and so is a block of four: two of them, then merge(2, 2) with
+    # _merge_lt's calls and writes (perfbench reversed: 0.48 -> 0.41)
     mid = (lo + hi) >> 1
+    if hi - lo == 4:
+        l1, m1 = lo + 1, mid + 1
+        if a[l1] < a[lo] and a[l1] < a[lo]:
+            a[lo], a[l1] = a[l1], a[lo]
+        if a[m1] < a[mid] and a[m1] < a[mid]:
+            a[mid], a[m1] = a[m1], a[mid]
+        if not a[mid] < a[l1]:
+            return
+        if a[m1] < a[lo]:
+            a[m1] < a[lo]  # test 2 at k = k_high = 2 asks test 1's pair again
+            a[lo], a[mid] = a[mid], a[lo]
+            a[l1], a[m1] = a[m1], a[l1]
+            return
+        if not a[mid] < a[l1]:
+            # only an erratic < gets here: the search goes on from k = 0
+            if not a[mid] < a[l1]:
+                return
+            a[m1] < a[lo] or a[mid] < a[l1]  # tests 1 and 2 at k = 1
+        a[l1], a[mid] = a[mid], a[l1]  # k = 1, then merge(1, 1) on each side
+        if a[l1] < a[lo] and a[l1] < a[lo]:
+            a[lo], a[l1] = a[l1], a[lo]
+        if a[m1] < a[mid] and a[m1] < a[mid]:
+            a[mid], a[m1] = a[m1], a[mid]
+        return
     if mid - lo > 2:
         _sort_lt(a, lo, mid)
     elif mid - lo == 2 and a[lo + 1] < a[lo] and a[lo + 1] < a[lo]:

@@ -207,29 +207,23 @@ def test_fit_refuses_seconds_of_count_mode_rows(tmp_path, capsys):
 
 def test_fit_refuses_seconds_of_phase_attributed_rows(tmp_path, capsys):
     # an --attribute-phases run times the in-place merge's phase timers too,
-    # so its inplace rows' seconds do not fit the sort's time; its buffered
-    # rows run no timer and fit
-    for algo in ("inplace", "buffered"):
-        report = tmp_path / f"{algo}.csv"
-        code, _, _ = run_cli(
-            capsys,
-            "sweep", "--n-min", "64", "--n-max", "256", "--steps", "3",
-            "--algo", algo, "--attribute-phases", "--out", str(report),
-        )
-        assert code == 0
-        code, out, err = run_cli(
-            capsys,
-            "fit", "--input", str(report), "--column", "seconds", "--model", "nlogn",
-        )
-        if algo == "buffered":
-            assert code == 0
-            assert json.loads(out)["points"] == 3
-            continue
-        assert code == 2
-        assert out == ""
-        assert "3 row(s) timed with --count or --attribute-phases" in err
-        for n in (64, 128, 256):
-            assert f"inplace n={n} dist=uniform seed=42 rep=median" in err
+    # so its rows' seconds do not fit the sort's time
+    report = tmp_path / "inplace.csv"
+    code, _, _ = run_cli(
+        capsys,
+        "sweep", "--n-min", "64", "--n-max", "256", "--steps", "3",
+        "--attribute-phases", "--out", str(report),
+    )
+    assert code == 0
+    code, out, err = run_cli(
+        capsys,
+        "fit", "--input", str(report), "--column", "seconds", "--model", "nlogn",
+    )
+    assert code == 2
+    assert out == ""
+    assert "3 row(s) timed with --count or --attribute-phases" in err
+    for n in (64, 128, 256):
+        assert f"inplace n={n} dist=uniform seed=42 rep=median" in err
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -239,22 +233,35 @@ def test_fit_refuses_seconds_of_phase_attributed_rows(tmp_path, capsys):
         ((), ""),
         (("--count",), "note: seconds include the counting wrapper\n"),
         (("--attribute-phases",), "note: seconds include the phase timers\n"),
-        (("--algo", "buffered", "--attribute-phases"), ""),
+        (("--algo", "buffered", "--attribute-phases"), None),
+        (("--algo", "system", "--attribute-phases"), None),
         (
             ("--count", "--attribute-phases"),
             "note: seconds include the counting wrapper and the phase timers\n",
         ),
     ],
-    ids=["plain", "count", "phases", "buffered-phases", "count-phases"],
+    ids=[
+        "plain", "count", "phases", "buffered-phases", "system-phases", "count-phases"
+    ],
 )
 def test_observed_runs_say_on_stderr_what_their_seconds_include(
     tmp_path, capsys, command, flags, note
 ):
-    # a --count or in-place --attribute-phases run times its observers too;
-    # one stderr line says so, and the report itself stays as it was
+    # a --count or --attribute-phases run times its observers too; one
+    # stderr line says so, and the report itself stays as it was.  Only the
+    # in-place merge has phase timers: with another --algo the flag is a
+    # usage error that names the flag and the algorithm
     sizes = ("--n", "128")
     if command == "sweep":
         sizes = ("--n-min", "64", "--n-max", "128", "--steps", "2")
+    if note is None:
+        report = tmp_path / "report.csv"
+        code, out, err = run_cli(capsys, command, *sizes, *flags, "--out", str(report))
+        assert (code, out) == (2, "")
+        algo = flags[1]
+        assert err == f"error: --attribute-phases needs --algo inplace, not {algo}\n"
+        assert not report.exists()
+        return
     for fmt in ("csv", "json"):
         code, out, err = run_cli(capsys, command, *sizes, *flags, "--format", fmt)
         assert (code, err) == (0, note)

@@ -280,6 +280,62 @@ def test_default_comparator_merge_matches_the_instrumented_merge_after_the_m2_fa
     assert fast[0][:5] == [first, test_1, first, first, test_1]
 
 
+BLOCKS_OF_FOUR = list(itertools.product(range(4), repeat=4))
+
+
+@pytest.mark.parametrize("container", [RecordingList, list], ids=["recording", "list"])
+def test_default_comparator_sort_of_four_matches_the_instrumented_sort(container):
+    # _sort_lt sorts a block of four in straight-line code; on every order
+    # of four keys with ties it must ask the pairs, make the writes and
+    # give the output of the two pair sorts and merge(2, 2)
+    for keys in BLOCKS_OF_FOUR:
+        assert_sorts_match(keys, container)
+
+
+@pytest.mark.parametrize(
+    "script, prefix, writes",
+    [
+        # the third ask of the first pair is false: k = 0, nothing written
+        ([1, 1, -1, 1, 1, 1], [(1, 0), (3, 2), (2, 1), (3, 0), (2, 1), (2, 1)], []),
+        # it is true and test 1 at k = 1 fails: test 2 at k = 1, then k = 1
+        (
+            [1, 1, -1, 1, 1, -1, 1, 1],
+            [(1, 0), (3, 2), (2, 1), (3, 0), (2, 1), (2, 1), (3, 0), (2, 1)],
+            [1, 2],
+        ),
+    ],
+    ids=["k0", "k1"],
+)
+def test_default_comparator_sort_of_four_matches_after_the_m2_fallback(
+    script, prefix, writes
+):
+    # the pair sorts decline, the first test fires, test 1 and its re-ask
+    # of the first pair decline: only an erratic comparator gets here, and
+    # the block's written-out search goes on from k = 0
+    fast, slow = twin_and_instrumented_runs(
+        "sort", 2, 2, lambda: scripted_comparator(script, [1], cap=100)
+    )
+    assert fast == slow
+    assert fast[0][: len(prefix)] == prefix
+    assert fast[1][: len(writes)] == writes
+    if not writes:
+        assert fast[0] == prefix and fast[1] == []
+
+
+@pytest.mark.parametrize("n", [4, 8, 1024])
+def test_default_comparator_sort_merges_no_block_of_four(n):
+    # a block of four is sorted without a merge node; the old route through
+    # _merge_lt(a, lo, lo + 2, lo + 4) would pass every other pin
+    rng = random.Random(n)
+    a = [rng.random() for _ in range(n)]
+    want = sorted(a)
+    with mock.patch.object(sorting_mod, "_merge_lt", wraps=merge_mod._merge_lt) as m:
+        mergesort(a)
+    assert a == want
+    assert all(c.args[3] - c.args[1] != 4 for c in m.call_args_list)
+    assert m.call_count == n // 4 - 1
+
+
 def test_two_element_sort_records_the_merge_node_depth():
     # a two-element sort is the merge node merge(1, 1): depth 1, and 2 when
     # it exchanges the pair
@@ -599,8 +655,19 @@ def test_resize_before_a_sliced_exchange_raises_value_error(entry, resize):
     # keys [1]*16 + [0]*16 make the top node exchange k = 16 pairs, which an
     # exact list does by slices; a pop at the search's last call must not
     # let a short slice and a full one restore the length.  Every call N
-    run = RESIZE_CHECKED[entry]
-    keys = [1] * 16 + [0] * 16
+    assert_every_resize_raises(RESIZE_CHECKED[entry], [1] * 16 + [0] * 16, resize)
+
+
+@pytest.mark.parametrize("resize", ["append", "pop"])
+def test_resizing_less_than_in_a_sort_of_four_raises_value_error(resize):
+    # every order of four keys, and every call N of its straight-line sort
+    for keys in BLOCKS_OF_FOUR:
+        assert_every_resize_raises(RESIZE_CHECKED["inplace sort, <"], keys, resize)
+
+
+def assert_every_resize_raises(run, keys, resize):
+    # the comparator appends or pops an item at its N-th call, for every N
+    # that run(a, compare) reaches on keys; each run raises the resize error
     resize_at = calls = 0
     a = []
 
@@ -620,6 +687,27 @@ def test_resize_before_a_sliced_exchange_raises_value_error(entry, resize):
         a[:] = [LessBy(k, t, compare) for t, k in enumerate(keys)]
         with pytest.raises(ValueError, match="resized"):
             run(a, compare)
+
+
+def test_raising_less_than_in_a_sort_of_four_leaves_permutation():
+    # every order of four keys, and every call N of its straight-line sort
+    for keys in BLOCKS_OF_FOUR:
+        fail_at = calls = 0
+
+        def compare(x, y):
+            nonlocal calls
+            calls += 1
+            if calls == fail_at:
+                raise ComparatorFailed(calls)
+            return default_compare(x.key, y.key)
+
+        mergesort([LessBy(k, t, compare) for t, k in enumerate(keys)])
+        for fail_at in range(1, calls + 1):
+            calls = 0
+            a = [LessBy(k, t, compare) for t, k in enumerate(keys)]
+            with pytest.raises(ComparatorFailed):
+                mergesort(a)
+            assert sorted(x.tag for x in a) == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("dist", ["uniform", "fewdistinct"])
