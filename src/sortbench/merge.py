@@ -11,14 +11,18 @@ permutation; a resizing one gets a ValueError.
 
 The in-place node runs the paper's bidirectional co-rank search inline
 (``tests/helpers.paper_co_rank``), not the lower bound of :mod:`coranking`,
-so its counted work is the paper's.  It has two twins that must make the
-same decisions: ``_merge_inplace`` takes a predicate and optional
-:class:`PhaseTimes` and returns its depth; ``_merge_lt`` asks the elements'
-own ``<`` over bounds ``lo, mid, hi`` that a child shares with its parent,
-runs exactly when the predicate is ``operator.lt`` and no gauge is given,
-and writes the search for a shorter run of 2 and exchanges of 2 or 3 pairs
-as straight-line code.  ``tests/test_merge.py`` pins the twins to
-the same comparisons and writes.  Only a caller's gauge runs the timers.
+so its counted work is the paper's.  Its two twins run over bounds ``lo,
+mid, hi`` that a child shares with its parent, and make the same decisions:
+``_merge_inplace`` takes a predicate and optional :class:`PhaseTimes` and
+returns its depth; ``_merge_lt`` asks the elements' own ``<``, runs exactly
+when the predicate is ``operator.lt`` and no gauge is given, and writes the
+search for a shorter run of 2 and exchanges of 2 or 3 pairs as straight-line
+code.  ``tests/test_merge.py`` pins the twins to the same comparisons and
+writes.  Only a caller's gauge runs the timers.
+
+``_merge_lt`` builds each index once, from ``mid`` and ``p = mid - 1``: an
+int above 256 is a heap object, and each addition allocates one.  The nodes
+zero their ints before they recurse, and ``p`` before a looped exchange.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ def _run_merge(
             f"{n} items"
         )
     try:
-        result = node(seq, start, n1, n2, *args)
+        result = node(seq, start, start + n1, start + n1 + n2, *args)
     except IndexError:
         _check_length(seq, n)
         raise
@@ -90,25 +94,25 @@ def merge_buffered(
 
 def _merge_buffered(
     seq: MutableSequence[Any],
-    start: int,
-    n1: int,
-    n2: int,
+    lo: int,
+    mid: int,
+    hi: int,
     less: Less,
     scratch: list[Any],
 ) -> None:
     # the first run goes out to scratch[0:n1] one item at a time (a slice
     # copy would allocate a second buffer).  The merge writes seq[t] with
     # t < q, so it never overwrites an unread second-run item.
-    if n1 == 0 or n2 == 0:
+    if lo == mid or mid == hi:
         return
+    n1 = mid - lo
     for p in range(n1):
-        scratch[p] = seq[start + p]
+        scratch[p] = seq[lo + p]
     p = 0
-    q = start + n1
-    end2 = q + n2
-    t = start
+    q = mid
+    t = lo
     try:
-        while p < n1 and q < end2:
+        while p < n1 and q < hi:
             if less(seq[q], scratch[p]):
                 seq[t] = seq[q]
                 q += 1
@@ -118,7 +122,7 @@ def _merge_buffered(
             t += 1
     finally:
         # the first run's rest fills seq[t:q], also after a raising
-        # comparator; the second run's rest seq[q:end2] is in place
+        # comparator; the second run's rest seq[q:hi] is in place
         while p < n1:
             seq[t] = scratch[p]
             p += 1
@@ -141,8 +145,7 @@ def merge_inplace(
     """
     less = as_less(compare)
     if less is operator.lt and gauge is None:
-        mid = start + n1
-        _run_merge(seq, n1, n2, start, lambda *_: _merge_lt(seq, start, mid, mid + n2))
+        _run_merge(seq, n1, n2, start, _merge_lt)
     else:
         depth = _run_merge(seq, n1, n2, start, _merge_inplace, less, gauge)
         if gauge is not None and depth > gauge.peak:
@@ -152,18 +155,17 @@ def merge_inplace(
 def _merge_inplace(
     a: MutableSequence[Any],
     lo: int,
-    n1: int,
-    n2: int,
+    mid: int,
+    hi: int,
     less: Less,
     phases: PhaseTimes | None,
 ) -> int:
     # returns its depth: 1 + the deepest child, one under each fired first test
     below = 0
-    while n1 > 0 and n2 > 0:
-        mid = lo + n1
+    while lo < mid < hi:
         if phases is not None:
             t0 = perf_counter()
-        # co-rank i = n1 over a[lo:mid] and a[mid:mid+n2], inline: the
+        # co-rank i = n1 over a[lo:mid] and a[mid:hi], inline: the
         # paper's bidirectional search (tests/helpers.paper_co_rank), asking
         # its two tests in the same order, but tracking k alone.  j = n1 - k,
         # so A[j] is a[mid-k], and the bound j_low becomes
@@ -174,6 +176,7 @@ def _merge_inplace(
             if phases is not None:
                 phases.corank_seconds += perf_counter() - t0
             break
+        n1, n2 = mid - lo, hi - mid
         if n1 == 1 or n2 == 1:
             # one element walks through the other run, one node per step:
             # the search's second test (k = 1) asks the first test's pair
@@ -181,7 +184,7 @@ def _merge_inplace(
             # needs no node.  The walk ends at the run's end or at the next
             # first test that finds the pair in order; a comparator that
             # answers the second test otherwise also ends it.
-            step, stop = (1, mid + n2) if n1 == 1 else (-1, lo)
+            step, stop = (1, hi) if n1 == 1 else (-1, lo)
             while less(a[mid], a[mid - 1]):
                 if phases is not None:
                     t1 = perf_counter()
@@ -222,7 +225,6 @@ def _merge_inplace(
                 k -= (k - k_low + 1) >> 1
             else:
                 break
-        j = n1 - k
         # ints above 256 are heap objects: drop them before recursing, or
         # every frame on the stack keeps its own (tracemalloc sees them)
         k_low = k_high = m = 0
@@ -245,52 +247,64 @@ def _merge_inplace(
         # larger; a side with an empty run needs no node
         d = 1
         if n1 <= n2:
-            if j > 0:
-                d = _merge_inplace(a, lo, j, k, less, phases)
-            lo = mid
-            n1, n2 = k, n2 - k
+            if k < n1:
+                n1 = n2 = 0
+                d = _merge_inplace(a, lo, mid - k, mid, less, phases)
+            lo, mid = mid, mid + k
         else:
             if k < n2:
-                d = _merge_inplace(a, mid, k, n2 - k, less, phases)
-            n1, n2 = j, k
+                n1 = n2 = 0
+                d = _merge_inplace(a, mid, mid + k, hi, less, phases)
+            mid, hi = mid - k, mid
         if d > below:
             below = d
     return below + 1
 
 
 def _merge_lt(a: MutableSequence[Any], lo: int, mid: int, hi: int) -> None:
-    # _merge_inplace's twin over a[lo:mid] and a[mid:hi], with the elements' <
+    # _merge_inplace's twin over a[lo:mid] and a[mid:hi], with the elements' <;
+    # it builds each index once, from mid and p = mid - 1 (module docstring)
     while lo < mid < hi:
-        if not a[mid] < a[mid - 1]:
+        p = mid - 1
+        if not a[mid] < a[p]:
             return
         n1, n2 = mid - lo, hi - mid
-        if n1 == 1 or n2 == 1:
-            step, stop = (1, hi) if n1 == 1 else (-1, lo)
-            while a[mid] < a[mid - 1]:
-                a[mid - 1], a[mid] = a[mid], a[mid - 1]
-                mid += step
-                if mid == stop or not a[mid] < a[mid - 1]:
+        if n1 == 1:
+            while a[mid] < a[p]:
+                a[p], a[mid] = a[mid], a[p]
+                p = mid
+                mid += 1
+                if mid == hi or not a[mid] < a[p]:
+                    return
+            return
+        if n2 == 1:
+            while a[mid] < a[p]:
+                a[p], a[mid] = a[mid], a[p]
+                mid = p
+                p -= 1
+                if mid == lo or not a[mid] < a[p]:
                     return
             return
         m = n1 if n1 < n2 else n2
-        if m == 2 and a[mid + 1] < a[mid - 2]:
+        if m == 2 and a[mid + 1] < a[p - 1]:
             # the search's tests at k = 1, straight-line: test 1 fires, and
             # at k = k_high = 2 test 2 asks this pair again, then it ends
-            a[mid + 1] < a[mid - 2]
+            a[mid + 1] < a[p - 1]
             k = 2
-        elif m == 2 and a[mid] < a[mid - 1]:
+        elif m == 2 and a[mid] < a[p]:
             k = 1
         else:
             # at m = 2 only an erratic < fires test 2: go on from k = 0
             k_low = 0
-            k_high, k = (1, 0) if m == 2 else (m, (m + 1) >> 1)
+            k_high = 1 if m == 2 else m
+            k = 0 if m == 2 else (m + 1) >> 1
             while True:
-                if k < m and a[mid + k] < a[mid - k - 1]:
+                if k < m and a[mid + k] < a[p - k]:
                     if k == k_high:
                         break
                     k_low = k
                     k += (k_high - k + 1) >> 1
-                elif k > 0 and not a[mid + k - 1] < a[mid - k]:
+                elif k > 0 and not a[p + k] < a[mid - k]:
                     if k == k_high:
                         break
                     k_high = k
@@ -299,15 +313,16 @@ def _merge_lt(a: MutableSequence[Any], lo: int, mid: int, hi: int) -> None:
                     break
             k_low = k_high = m = 0
         if k == 1:
-            a[mid - 1], a[mid] = a[mid], a[mid - 1]
+            a[p], a[mid] = a[mid], a[p]
         elif k == 2:
-            a[mid - 2], a[mid] = a[mid], a[mid - 2]
-            a[mid - 1], a[mid + 1] = a[mid + 1], a[mid - 1]
+            a[p - 1], a[mid] = a[mid], a[p - 1]
+            a[p], a[mid + 1] = a[mid + 1], a[p]
         elif k == 3:
-            a[mid - 3], a[mid] = a[mid], a[mid - 3]
-            a[mid - 2], a[mid + 1] = a[mid + 1], a[mid - 2]
-            a[mid - 1], a[mid + 2] = a[mid + 2], a[mid - 1]
+            a[p - 2], a[mid] = a[mid], a[p - 2]
+            a[p - 1], a[mid + 1] = a[mid + 1], a[p - 1]
+            a[p], a[mid + 2] = a[mid + 2], a[p]
         else:
+            p = 0  # an int held across the slices adds 32 B to a sort's peak
             s = mid - k
             if k >= 16 and type(a) is list and mid + k <= len(a):
                 # only full slices of 16: a shrunk list takes the loop, raising
@@ -321,12 +336,12 @@ def _merge_lt(a: MutableSequence[Any], lo: int, mid: int, hi: int) -> None:
             x = y = s = 0
         if n1 <= n2:
             if k < n1:
-                n1 = n2 = 0
+                n1 = n2 = p = 0
                 _merge_lt(a, lo, mid - k, mid)
             lo, mid = mid, mid + k
         else:
             if k < n2:
-                n1 = n2 = 0
+                n1 = n2 = p = 0
                 _merge_lt(a, mid, mid + k, hi)
             mid, hi = mid - k, mid
 

@@ -84,18 +84,18 @@ def mergesort(
 def _sort_inplace(
     a: MutableSequence[Any],
     lo: int,
-    n: int,
+    hi: int,
     less: Less,
     phases: PhaseTimes | None,
 ) -> int:
-    # callers guarantee n >= 2, so both halves are nonempty
-    mid = n >> 1
-    peak = _sort_inplace(a, lo, mid, less, phases) if mid > 1 else 0
-    if n - mid > 1:
-        d = _sort_inplace(a, lo + mid, n - mid, less, phases)
+    # over a[lo:hi]; callers guarantee hi - lo >= 2, so both halves are nonempty
+    mid = (lo + hi) >> 1
+    peak = _sort_inplace(a, lo, mid, less, phases) if mid - lo > 1 else 0
+    if hi - mid > 1:
+        d = _sort_inplace(a, mid, hi, less, phases)
         if d > peak:
             peak = d
-    d = _merge_inplace(a, lo, mid, n - mid, less, phases)
+    d = _merge_inplace(a, lo, mid, hi, less, phases)
     return d if d > peak else peak
 
 
@@ -142,12 +142,12 @@ def _sort_lt(a: MutableSequence[Any], lo: int, hi: int) -> None:
 def _sort_buffered(
     a: MutableSequence[Any],
     lo: int,
-    n: int,
+    hi: int,
     less: Less,
     scratch: list[Any],
 ) -> None:
-    if n > 1:
-        mid = n >> 1
+    if hi - lo > 1:
+        mid = (lo + hi) >> 1
         _sort_buffered(a, lo, mid, less, scratch)
-        _sort_buffered(a, lo + mid, n - mid, less, scratch)
-        _merge_buffered(a, lo, mid, n - mid, less, scratch)
+        _sort_buffered(a, mid, hi, less, scratch)
+        _merge_buffered(a, lo, mid, hi, less, scratch)

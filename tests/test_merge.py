@@ -300,12 +300,24 @@ def test_exact_list_merge_exchanges_every_block_size_as_a_list_subclass_does(sta
         assert [x.tag for x in exact] == stable, (k, p, q)
 
 
-@pytest.mark.parametrize("start", [0, 3])
-def test_single_element_walk_matches_reference(start):
+def single_element_walks():
     # a single element merged into every run of keys {0, 1, 2} up to length
     # 12, from the left (n1 = 1) and from the right (n2 = 1): every insertion
-    # position, with ties; the comparator calls, the output and the depth
-    # must be the plain recursion's
+    # position, with ties.  Yields the keys and n1
+    runs = [
+        [0] * zeros + [1] * ones + [2] * (length - zeros - ones)
+        for length in range(13)
+        for zeros in range(length + 1)
+        for ones in range(length - zeros + 1)
+    ]
+    for run, key, from_left in itertools.product(runs, (0, 1, 2), (True, False)):
+        yield ([key] + run, 1) if from_left else (run + [key], len(run))
+
+
+@pytest.mark.parametrize("start", [0, 3])
+def test_single_element_walk_matches_reference(start):
+    # every single-element walk: the comparator calls, the output and the
+    # depth must be the plain recursion's
     def logged(log):
         def compare(x, y):
             log.append((x[1], y[1]))
@@ -313,15 +325,8 @@ def test_single_element_walk_matches_reference(start):
 
         return compare
 
-    runs = [
-        [0] * zeros + [1] * ones + [2] * (length - zeros - ones)
-        for length in range(13)
-        for zeros in range(length + 1)
-        for ones in range(length - zeros + 1)
-    ]
     prefix = [(-1, -1 - t) for t in range(start)]
-    for run, key, from_left in itertools.product(runs, (0, 1, 2), (True, False)):
-        keys, n1 = ([key] + run, 1) if from_left else (run + [key], len(run))
+    for keys, n1 in single_element_walks():
         n2 = len(keys) - n1
         tagged = prefix + [(k, t) for t, k in enumerate(keys)]
         got, want = list(tagged), list(tagged)
@@ -332,6 +337,33 @@ def test_single_element_walk_matches_reference(start):
         assert got_log == want_log, (keys, n1)
         assert got == want, (keys, n1)
         assert gauge.peak == (2 if got != tagged else 1), (keys, n1)
+
+
+@pytest.mark.parametrize("container", [RecordingList, list], ids=["recording", "list"])
+@pytest.mark.parametrize("start", [0, 3])
+def test_default_comparator_single_element_walk_matches_the_instrumented_walk(
+    start, container
+):
+    # merge._merge_lt walks one element right (n1 = 1) and left (n2 = 1) in
+    # two loops that step p = mid - 1 beside mid; on every walk it must ask
+    # each pair twice, as the instrumented node does, and make its writes
+    # and its output
+    ran = AssertionError("the instrumented node ran")
+    for keys, n1 in single_element_walks():
+        keys = [-1] * start + keys
+        n2 = len(keys) - start - n1
+        runs = []
+        for fast in (True, False):
+            log = []
+            compare = logged_tag_comparator(log)
+            a = container(LessBy(k, t, compare) for t, k in enumerate(keys))
+            if fast:
+                with mock.patch.object(merge_mod, "_merge_inplace", side_effect=ran):
+                    merge_inplace(a, n1, n2, start=start)
+            else:
+                merge_inplace(a, n1, n2, compare, start)
+            runs.append((log, getattr(a, "writes", None), [x.tag for x in a]))
+        assert runs[0] == runs[1], (keys, n1)
 
 
 def test_phase_times_accumulate_in_a_walk():

@@ -202,21 +202,35 @@ def test_default_comparator_sort_of_an_exact_list_matches_the_instrumented_sort(
     assert_sorts_match(generate(n, dist, 12), list)
 
 
-def test_default_comparator_sort_peak_grows_slowly_with_n():
-    # at its peak a sort holds little but one exchange's slices and the ints
-    # in its frames, 32 B each above 256.  Frames that pass their own ints
-    # down as bounds add at most two of them per doubling of n
+def reversed_sort_peaks(sort):
+    # the tracemalloc peak of sort(a) over reversed floats, n = 2^10 .. 2^16
     peaks = []
     for e in range(10, 17):
         a = [float(x) for x in range(2**e, 0, -1)]
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            mergesort(a)
+            sort(a)
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
             tracemalloc.stop()
         assert a == [float(x) for x in range(1, 2**e + 1)]
+    return peaks
+
+
+def test_default_comparator_sort_peak_grows_slowly_with_n():
+    # at its peak a sort holds little but one exchange's slices and the ints
+    # in its frames, 32 B each above 256.  Frames that pass their own ints
+    # down as bounds add at most two of them per doubling of n
+    peaks = reversed_sort_peaks(mergesort)
+    assert max(b - a for a, b in zip(peaks, peaks[1:])) <= 64, peaks
+
+
+def test_counted_sort_peak_grows_slowly_with_n():
+    # a stats= sort runs the instrumented driver and node, which pass bounds
+    # too and drop their run lengths before recursing; a frame holding its
+    # own lengths across its call adds about 96 B per doubling of n
+    peaks = reversed_sort_peaks(lambda a: mergesort(a, stats=SortStats()))
     assert max(b - a for a, b in zip(peaks, peaks[1:])) <= 64, peaks
 
 
