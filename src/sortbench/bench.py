@@ -15,6 +15,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cmp_to_key
+from statistics import median_low
 from typing import Any, Callable, Sequence
 
 from .comparator import default_compare
@@ -200,15 +201,9 @@ def _run_once(config: BenchConfig, rep: int, rep_seed: int) -> BenchRecord:
     )
 
 
-def _median(values: Sequence[float]) -> float:
-    # true median for odd counts, lower median for even counts
-    ordered = sorted(values)
-    return ordered[(len(ordered) - 1) // 2]
-
-
 def _median_or_none(values: Sequence[Any]) -> Any:
     # a field is summarized only when every rep measured it
-    return None if any(v is None for v in values) else _median(values)
+    return None if any(v is None for v in values) else median_low(values)
 
 
 def _median_summary(records: list[BenchRecord]) -> BenchRecord:

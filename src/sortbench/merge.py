@@ -99,12 +99,12 @@ def _merge_buffered(
     hi: int,
     less: Less,
     scratch: list[Any],
-) -> None:
+) -> int:
     # the first run goes out to scratch[0:n1] one item at a time (a slice
     # copy would allocate a second buffer).  The merge writes seq[t] with
     # t < q, so it never overwrites an unread second-run item.
     if lo == mid or mid == hi:
-        return
+        return 0
     n1 = mid - lo
     for p in range(n1):
         scratch[p] = seq[lo + p]
@@ -127,6 +127,7 @@ def _merge_buffered(
             seq[t] = scratch[p]
             p += 1
             t += 1
+    return 0
 
 
 def merge_inplace(
@@ -234,13 +235,10 @@ def _merge_inplace(
             phases.corank_seconds += t1 - t0
         # middle block a[mid-k : mid+k]: exchange its halves (a comparator
         # that answers one pair two ways can leave k = 0: nothing moves)
-        if k == 1:
-            a[mid - 1], a[mid] = a[mid], a[mid - 1]
-        else:
-            for x in range(mid - k, mid):
-                y = x + k
-                a[x], a[y] = a[y], a[x]
-            x = y = 0
+        for x in range(mid - k, mid):
+            y = x + k
+            a[x], a[y] = a[y], a[x]
+        x = y = 0
         if phases is not None:
             phases.rotation_seconds += perf_counter() - t1
         # halves are independent: recurse into the smaller, loop on the

@@ -1,4 +1,4 @@
-"""In-place sequence rotation by cycle-following, and block exchange.
+"""In-place sequence rotation by cycle-following.
 
 Rotating left by ``r`` moves the element at index ``(s + r) mod n`` to index
 ``s``.  The rotation walks the permutation cycles directly, so every element
@@ -8,12 +8,13 @@ index returning to its starting position, and a remaining-work counter tells
 the outer loop when all cycles are done.  Cycles start below
 ``lo + gcd(n, r)``, so the first step of a cycle never wraps.
 
-Rotating a span of even length by half of it is a block exchange (Gries &
-Mills, "Swapping sections", 1981): its cycles all have length 2, so
-the rotation swaps the two halves element by element instead, still with
-exactly n writes and no allocation.  Both loops index one element at a
-time, never slices, so they work on every mutable sequence (a ``deque`` has
-no slice assignment, and a numpy slice is a view).
+One loop serves every offset.  Rotating a span of even length by half of it
+is a block exchange (Gries & Mills, "Swapping sections", 1981): its cycles
+all have length 2, so the loop writes ``a[s]``, then ``a[s + r]``, for
+ascending ``s``, which are a pairwise swap's writes in the same order.  The
+loop indexes one element at a time, never slices, so it works on every
+mutable sequence (a ``deque`` has no slice assignment, and a numpy slice is
+a view).
 
 Rotation never compares elements; it only moves them.
 """
@@ -52,12 +53,6 @@ def rotate_left(
 def _rotate(a: MutableSequence[Any], r: int, lo: int, n: int) -> None:
     # Core juggling loop. Callers guarantee 0 <= r < n and valid bounds.
     if r == 0:
-        return
-    if 2 * r == n:
-        # block exchange of a[lo:lo+r] and a[lo+r:lo+n]: n writes, no allocation
-        for x in range(lo, lo + r):
-            y = x + r
-            a[x], a[y] = a[y], a[x]
         return
     hi = lo + n
     work = n  # elements still to move

@@ -11,13 +11,15 @@ identical, stable output; they differ only in how adjacent runs are merged:
 
 No small-array cutoff to another sort: these are deliberately plain
 implementations so measured comparison counts reflect the algorithms
-themselves.  The in-place driver returns the deepest merge it ran; only a
-caller's ``phases`` runs the merge's timers.  A sort with the default
-comparator and no observer runs the driver's twin ``_sort_lt`` over
-``merge._merge_lt``, which compares with the elements' own ``<`` and sorts a
-two-element half inline with the calls of the merge node ``merge(1, 1)``, and
-a block of four with those of two such halves and ``merge(2, 2)``: that halves
-the driver's ``_merge_lt`` calls and cuts a reversed sort's time by about 15%.
+themselves.  One driver, ``_sort``, runs a BUFFERED sort over
+``merge._merge_buffered``, and an in-place sort with a comparator or an
+observer over ``merge._merge_inplace``, which returns its depth and runs its
+timers only for a caller's ``phases``.  The default comparator with no
+observer runs the driver's twin ``_sort_lt`` over ``merge._merge_lt``, which
+compares with the elements' own ``<`` and sorts a two-element half inline with
+the calls of ``merge(1, 1)``, and a block of four with those of two such
+halves and ``merge(2, 2)``: that halves the driver's ``_merge_lt`` calls and
+cuts a reversed sort's time by about 15%.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import operator
 from enum import Enum
 from time import perf_counter
-from typing import Any, MutableSequence
+from typing import Any, Callable, MutableSequence
 
 from .comparator import Comparator, Less, as_less, default_compare
 from .instrumentation import SortStats, counting_comparator
@@ -52,8 +54,11 @@ def mergesort(
     writes (see MoveCountingList), moves are recorded.
     ``phases``, a :class:`PhaseTimes`, covers every sort it observed: their
     summed co-ranking vs exchange wall time and the largest merge depth of
-    those that completed.  Raises ValueError if the comparator resizes ``seq``.
+    those that completed.  Raises ValueError if ``strategy`` is not a
+    MergeStrategy or if the comparator resizes ``seq``.
     """
+    if not isinstance(strategy, MergeStrategy):
+        raise ValueError(f"strategy {strategy!r} is not a MergeStrategy")
     n = len(seq)
     less = as_less(compare)
     if stats is not None:
@@ -62,12 +67,13 @@ def mergesort(
     peak = 0
     t0 = perf_counter()
     try:
-        if strategy is MergeStrategy.BUFFERED:
-            _sort_buffered(seq, 0, n, less, [None] * n)
-        elif n > 1 and less is operator.lt and phases is None:
-            _sort_lt(seq, 0, n)
-        elif n > 1:
-            peak = _sort_inplace(seq, 0, n, less, phases)
+        if n > 1:
+            if strategy is MergeStrategy.BUFFERED:
+                _sort(seq, 0, n, _merge_buffered, less, [None] * n)
+            elif less is operator.lt and phases is None:
+                _sort_lt(seq, 0, n)
+            else:
+                peak = _sort(seq, 0, n, _merge_inplace, less, phases)
     except IndexError:
         _check_length(seq, n)
         raise
@@ -81,26 +87,28 @@ def mergesort(
         stats.moves = getattr(seq, "move_count", 0) - moves_before
 
 
-def _sort_inplace(
+def _sort(
     a: MutableSequence[Any],
     lo: int,
     hi: int,
+    node: Callable[..., int],
     less: Less,
-    phases: PhaseTimes | None,
+    extra: Any,
 ) -> int:
-    # over a[lo:hi]; callers guarantee hi - lo >= 2, so both halves are nonempty
+    # a[lo:hi], hi - lo >= 2, skipping one-element halves; node returns its
+    # depth (_merge_buffered, given the scratch buffer as extra, returns 0)
     mid = (lo + hi) >> 1
-    peak = _sort_inplace(a, lo, mid, less, phases) if mid - lo > 1 else 0
+    peak = _sort(a, lo, mid, node, less, extra) if mid - lo > 1 else 0
     if hi - mid > 1:
-        d = _sort_inplace(a, mid, hi, less, phases)
+        d = _sort(a, mid, hi, node, less, extra)
         if d > peak:
             peak = d
-    d = _merge_inplace(a, lo, mid, hi, less, phases)
+    d = node(a, lo, mid, hi, less, extra)
     return d if d > peak else peak
 
 
 def _sort_lt(a: MutableSequence[Any], lo: int, hi: int) -> None:
-    # _sort_inplace's twin over a[lo:hi]; a two-element half is merge(1, 1)
+    # twin of _sort over _merge_inplace; a two-element half is merge(1, 1)
     # inline, and so is a block of four: two of them, then merge(2, 2) with
     # _merge_lt's calls and writes (perfbench reversed: 0.48 -> 0.41)
     mid = (lo + hi) >> 1
@@ -137,17 +145,3 @@ def _sort_lt(a: MutableSequence[Any], lo: int, hi: int) -> None:
     elif hi - mid == 2 and a[mid + 1] < a[mid] and a[mid + 1] < a[mid]:
         a[mid], a[mid + 1] = a[mid + 1], a[mid]
     _merge_lt(a, lo, mid, hi)
-
-
-def _sort_buffered(
-    a: MutableSequence[Any],
-    lo: int,
-    hi: int,
-    less: Less,
-    scratch: list[Any],
-) -> None:
-    if hi - lo > 1:
-        mid = (lo + hi) >> 1
-        _sort_buffered(a, lo, mid, less, scratch)
-        _sort_buffered(a, mid, hi, less, scratch)
-        _merge_buffered(a, lo, mid, hi, less, scratch)

@@ -106,9 +106,21 @@ def test_verification_failure_raises(monkeypatch):
 
 
 def test_median_selection_lower_median():
-    assert bench_mod._median([3.0, 1.0, 2.0]) == 2.0
-    assert bench_mod._median([4.0, 1.0, 2.0, 3.0]) == 2.0
-    assert bench_mod._median([5.0]) == 5.0
+    # the summary row holds the true median of an odd count of reps, and
+    # the lower median of an even count: a value some rep measured
+    def summary_seconds(values):
+        records = [
+            BenchRecord(
+                algo="inplace", n=10, dist="uniform", seed=1, rep=rep,
+                seconds=v, verified=True,
+            )
+            for rep, v in enumerate(values)
+        ]
+        return bench_mod._median_summary(records).seconds
+
+    assert summary_seconds([3.0, 1.0, 2.0]) == 2.0
+    assert summary_seconds([4.0, 1.0, 2.0, 3.0]) == 2.0
+    assert summary_seconds([5.0]) == 5.0
 
 
 def test_geometric_sizes():

@@ -49,6 +49,22 @@ def test_three_cycles_visit_order():
     assert a.writes == [0, 3, 6, 9, 1, 4, 7, 10, 2, 5, 8, 11]
 
 
+@pytest.mark.parametrize("start", [0, 3])
+def test_half_rotation_makes_the_block_exchange_writes(start):
+    # rotating 2k items by k has k cycles of length 2: the juggling loop
+    # writes a[s], then a[s + k], for ascending s, as a pairwise swap does
+    for k in range(1, 40):
+        a = RecordingList(range(start + 2 * k + 2))
+        rotate_left(a, k, start, 2 * k)
+        swapped = list(range(start + 2 * k + 2))
+        pairs = []
+        for x in range(start, start + k):
+            swapped[x], swapped[x + k] = swapped[x + k], swapped[x]
+            pairs += [x, x + k]
+        assert a.writes == pairs, k
+        assert list(a) == swapped, k
+
+
 def test_matches_oracle_small_exhaustive():
     rng = random.Random(0)
     for n in range(17):

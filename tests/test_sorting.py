@@ -153,7 +153,7 @@ def test_inplace_sort_asks_the_comparisons_of_the_plain_recursion(keys):
 def test_default_comparator_sort_matches_the_instrumented_sort(keys, order):
     # an unobserved default-comparator sort runs sorting._sort_lt, which
     # compares with the elements' own <; it must ask the pairs, make the
-    # writes and give the output of _sort_inplace with a three-way comparator
+    # writes and give the output of _sort with a three-way comparator
     if order != "drawn":
         keys = sorted(keys, reverse=order == "reversed")
     assert_sorts_match(keys)
@@ -168,7 +168,7 @@ def assert_sorts_match(keys, container=RecordingList):
         a = container(LessBy(k, t, compare) for t, k in enumerate(keys))
         if fast:
             ran = AssertionError("the instrumented driver ran")
-            with mock.patch.object(sorting_mod, "_sort_inplace", side_effect=ran):
+            with mock.patch.object(sorting_mod, "_sort", side_effect=ran):
                 mergesort(a)
         else:
             mergesort(a, compare)
@@ -250,7 +250,7 @@ def twin_and_instrumented_runs(entry, n1, n2, make_compare):
         elements_asking(logged_comparator(make_compare(), fast_log), n1 + n2)
     )
     ran = AssertionError("the instrumented node ran")
-    with mock.patch.object(sorting_mod, "_sort_inplace", side_effect=ran):
+    with mock.patch.object(sorting_mod, "_sort", side_effect=ran):
         with mock.patch.object(merge_mod, "_merge_inplace", side_effect=ran):
             run(fast)
     slow = RecordingList(range(n1 + n2))
@@ -407,6 +407,44 @@ def test_only_a_callers_phase_times_run_the_merge_timers(monkeypatch):
     assert phases.corank_seconds + phases.rotation_seconds > 0
 
 
+@pytest.mark.parametrize(
+    "kwargs, node",
+    [
+        ({"strategy": MergeStrategy.BUFFERED}, "_merge_buffered"),
+        ({"strategy": MergeStrategy.BUFFERED, "stats": SortStats()}, "_merge_buffered"),
+        ({"stats": SortStats()}, "_merge_inplace"),
+        ({"phases": PhaseTimes()}, "_merge_inplace"),
+        ({}, None),
+    ],
+    ids=["buffered", "buffered-stats", "stats", "phases", "unobserved"],
+)
+def test_one_driver_runs_the_buffered_and_the_observed_sorts(kwargs, node):
+    # both strategies share sorting._sort, which enters no one-element half:
+    # 1,023 calls for 1,024 items, each with its strategy's merge node.  An
+    # unobserved float sort runs _sort_lt and never enters _sort
+    rng = random.Random(59)
+    a = [rng.random() for _ in range(1024)]
+    want = sorted(a)
+    with mock.patch.object(sorting_mod, "_sort", wraps=sorting_mod._sort) as m:
+        mergesort(a, **kwargs)
+    assert a == want
+    if node is None:
+        assert m.call_count == 0
+        return
+    assert m.call_count == 1023
+    assert {c.args[3] for c in m.call_args_list} == {getattr(merge_mod, node)}
+    assert all(c.args[2] - c.args[1] >= 2 for c in m.call_args_list)
+
+
+@pytest.mark.parametrize("strategy", ["buffered", "inplace", "bogus", None])
+def test_a_strategy_that_is_not_a_merge_strategy_raises_value_error(strategy):
+    # a value's name is not the strategy: no work is done, nothing is sorted
+    a = [3, 1, 2]
+    with pytest.raises(ValueError, match=repr(strategy)):
+        mergesort(a, strategy=strategy)
+    assert a == [3, 1, 2]
+
+
 @pytest.mark.parametrize("data, moves", [(range(1024), 5120), (range(1024, 0, -1), 10240)])
 def test_buffered_sort_leaves_a_tail_in_place(data, moves):
     # each merge writes back what precedes the second run's remaining tail:
@@ -459,10 +497,10 @@ def test_counting_wrapper_transparent():
 
 def test_driver_recursion_depth(monkeypatch):
     # an unobserved default-comparator sort runs _sort_lt, an observed one
-    # _sort_inplace: wrap the driver each call runs, which must be entered
+    # _sort: wrap the driver each call runs, which must be entered
     rng = random.Random(37)
     values = [rng.random() for _ in range(10_000)]
-    for name, kwargs in (("_sort_lt", {}), ("_sort_inplace", {"phases": PhaseTimes()})):
+    for name, kwargs in (("_sort_lt", {}), ("_sort", {"phases": PhaseTimes()})):
         real = getattr(sorting_mod, name)
         depth = {"current": 0, "peak": 0}
 
