@@ -33,30 +33,3 @@ from .rotation import rotate_left, rotated_copy
 from .sorting import MergeStrategy, mergesort
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Comparator",
-    "Distribution",
-    "MergeDepthGauge",
-    "MergeStrategy",
-    "MoveCountingList",
-    "PhaseTimes",
-    "SortStats",
-    "TaggedElement",
-    "co_rank",
-    "co_rank_by_merge",
-    "count_inplace_merge_comparisons",
-    "counting_comparator",
-    "default_compare",
-    "generate",
-    "key_comparator",
-    "merge_buffered",
-    "merge_inplace",
-    "mergesort",
-    "rotate_left",
-    "rotated_copy",
-    "select_merged",
-    "tag",
-    "verify_sorted",
-    "verify_stable_permutation",
-]

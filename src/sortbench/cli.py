@@ -97,17 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _distribution(args: argparse.Namespace) -> Distribution:
-    return Distribution(args.dist, period=args.period, universe=args.universe)
-
-
 def _config(args: argparse.Namespace, n: int, tagged: bool = False) -> BenchConfig:
     if getattr(args, "attribute_phases", False) and args.algo != "inplace":
         raise ValueError(f"--attribute-phases needs --algo inplace, not {args.algo}")
     return BenchConfig(
         algorithm=args.algo,
         n=n,
-        dist=_distribution(args),
+        dist=Distribution(args.dist, period=args.period, universe=args.universe),
         seed=args.seed,
         reps=getattr(args, "reps", 1),
         count_mode=getattr(args, "count", False),

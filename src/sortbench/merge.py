@@ -47,7 +47,7 @@ class MergeDepthGauge:
         self.rotation_seconds = 0.0
 
 
-# the same observer, named for the phase times it accumulates
+# one observer, two names: perfbench builds PhaseTimes, acceptance MergeDepthGauge
 PhaseTimes = MergeDepthGauge
 
 
@@ -352,7 +352,8 @@ def count_inplace_merge_comparisons(
     start: int = 0,
 ) -> int:
     """Run :func:`merge_inplace`'s instrumented node, counting each
-    comparison, and return the number of comparator invocations."""
+    comparison, and return the number of comparator invocations.  The
+    acceptance suite counts a merge's comparisons with it."""
     stats = SortStats()
     less = counting_comparator(as_less(compare), stats)
     _run_merge(seq, n1, n2, start, _merge_inplace, less, None)
