@@ -201,16 +201,12 @@ def _run_once(config: BenchConfig, rep: int, rep_seed: int) -> BenchRecord:
     )
 
 
-def _median_or_none(values: Sequence[Any]) -> Any:
-    # a field is summarized only when every rep measured it
-    return None if any(v is None for v in values) else median_low(values)
-
-
 def _median_summary(records: list[BenchRecord]) -> BenchRecord:
-    medians = {
-        name: _median_or_none([getattr(r, name) for r in records])
-        for name in _MEDIAN_FIELDS
-    }
+    # a field is summarized only when every rep measured it
+    medians = {}
+    for name in _MEDIAN_FIELDS:
+        values = [getattr(r, name) for r in records]
+        medians[name] = None if None in values else median_low(values)
     verified = all(r.verified for r in records)
     return replace(records[0], rep="median", verified=verified, **medians)
 

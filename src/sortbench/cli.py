@@ -127,21 +127,19 @@ def _write_report(args: argparse.Namespace, records) -> None:
         sys.stderr.write(f"note: seconds include {' and '.join(added)}\n")
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> None:
     records = run_benchmark(_config(args, args.n))
     _write_report(args, records)
-    return EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> None:
     records = []
     for n in geometric_sizes(args.n_min, args.n_max, args.steps):
         records.extend(run_benchmark(_config(args, n)))
     _write_report(args, records)
-    return EXIT_OK
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
+def _cmd_fit(args: argparse.Namespace) -> None:
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
     # a JSON report is an array; a CSV report starts with its header row
@@ -173,16 +171,14 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         )
         + "\n"
     )
-    return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> None:
     run_benchmark(_config(args, args.n, tagged=True))
     sys.stdout.write(
         f"verified: {args.algo} n={args.n} dist={args.dist} seed={args.seed} "
         "(sorted, stable, permutation)\n"
     )
-    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -194,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        handlers[args.command](args)
     except VerificationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         sys.stderr.write(emit_report([exc.record], "csv"))
@@ -205,6 +201,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -64,12 +64,12 @@ class MoveCountingList(list):
         self.move_count = 0
 
     def __setitem__(self, index: Any, value: Any) -> None:
+        moved = 1
         if isinstance(index, slice):
             value = list(value)
-            self.move_count += len(value)
-        else:
-            self.move_count += 1
-        super().__setitem__(index, value)
+            moved = len(value)
+        super().__setitem__(index, value)  # a write that raises moves nothing
+        self.move_count += moved
 
 
 def verify_sorted(seq: Sequence[Any], compare: Comparator = default_compare) -> bool:

@@ -89,7 +89,12 @@ def merge_buffered(
     propagates.  Equal keys keep first-run elements ahead of second-run
     elements; a second-run tail already in place is not written.
     """
-    _run_merge(seq, n1, n2, start, _merge_buffered, as_less(compare), [None] * n1)
+
+    def node(*span: Any) -> int:
+        # the buffer is built only once _run_merge has checked the runs
+        return _merge_buffered(*span, [None] * n1)
+
+    _run_merge(seq, n1, n2, start, node, as_less(compare))
 
 
 def _merge_buffered(

@@ -1,12 +1,9 @@
 """In-place sequence rotation by cycle-following.
 
 Rotating left by ``r`` moves the element at index ``(s + r) mod n`` to index
-``s``.  The rotation walks the permutation cycles directly, so every element
-is written exactly once (n writes total) and the only extra storage is one
-temporary slot per cycle.  No gcd is computed: a cycle is detected by the
-index returning to its starting position, and a remaining-work counter tells
-the outer loop when all cycles are done.  Cycles start below
-``lo + gcd(n, r)``, so the first step of a cycle never wraps.
+``s``.  The permutation has ``gcd(n, r)`` cycles, and the rotation walks each
+of them directly, so every element is written exactly once (n writes total)
+and the only extra storage is one temporary slot per cycle.
 
 One loop serves every offset.  Rotating a span of even length by half of it
 is a block exchange (Gries & Mills, "Swapping sections", 1981): its cycles
@@ -21,6 +18,7 @@ Rotation never compares elements; it only moves them.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Any, MutableSequence, Sequence
 
 
@@ -43,35 +41,24 @@ def rotate_left(
             f"span [{start}, {start}+{n}) out of bounds for sequence of "
             f"length {len(seq)}"
         )
-    if n <= 1:
+    if n <= 1 or offset == 0:
         return
-    if not 0 <= offset < n:
+    if not 0 < offset < n:
         raise ValueError(f"offset {offset} not in [0, {n})")
-    _rotate(seq, offset, start, n)
-
-
-def _rotate(a: MutableSequence[Any], r: int, lo: int, n: int) -> None:
-    # Core juggling loop. Callers guarantee 0 <= r < n and valid bounds.
-    if r == 0:
-        return
-    hi = lo + n
-    work = n  # elements still to move
-    s = lo
-    while work > 0:
+    hi = start + n
+    # a cycle starts at s < start + gcd(n, offset) <= hi - offset, so its
+    # first step never wraps
+    for s in range(start, start + gcd(n, offset)):
+        first = seq[s]
         i = s
-        first = a[s]  # keep old first element of the cycle
-        # no wrap yet: a cycle starts at s < lo + gcd(n, r) <= lo + n - r
-        nxt = i + r
+        nxt = s + offset
         while nxt != s:
-            a[i] = a[nxt]
+            seq[i] = seq[nxt]
             i = nxt
-            nxt += r
+            nxt += offset
             if nxt >= hi:
                 nxt -= n
-            work -= 1
-        a[i] = first  # cycle completed
-        work -= 1
-        s += 1
+        seq[i] = first
 
 
 def rotated_copy(seq: Sequence[Any], offset: int) -> list[Any]:

@@ -251,3 +251,6 @@ def test_median_summary_keeps_unmeasured_fields_none():
     assert summary.comparisons == 20
     assert summary.moves is None and summary.max_depth is None
     assert summary.corank_seconds is None
+    # one rep that did not measure a field leaves it unsummarized
+    summary = bench_mod._median_summary([rec(0, 30), rec(1, None), rec(2, 20)])
+    assert summary.comparisons is None and summary.seconds == 1.5

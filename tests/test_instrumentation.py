@@ -1,3 +1,5 @@
+import pytest
+
 from sortbench.comparator import default_compare
 from sortbench.instrumentation import (
     MoveCountingList,
@@ -79,3 +81,11 @@ def test_move_counting_list_counts_writes():
     a[0:4] = [9, 9, 9, 9]
     assert a.move_count == 6
     assert list(a) == [9, 9, 9, 9]
+    a[0:4:2] = iter([7, 8])  # an iterator is read once, then counted
+    assert a == [7, 9, 8, 9] and a.move_count == 8
+    # a write that raises leaves the list as it was, and counts nothing
+    with pytest.raises(IndexError):
+        a[5] = 0
+    with pytest.raises(ValueError):
+        a[0:3:2] = [7, 8, 9]  # an extended slice of 2 items takes exactly 2
+    assert a == [7, 9, 8, 9] and a.move_count == 8

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -78,6 +79,15 @@ def test_bad_runs_rejected():
         merge_inplace([1, 2, 3], 2, 2)
     with pytest.raises(ValueError):
         merge_buffered([1, 2, 3], -1, 2)
+    # the runs are checked before the n1-slot buffer is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            merge_buffered([1, 2], 10**6, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_strategies_agree_on_random_runs():

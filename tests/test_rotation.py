@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -63,6 +64,23 @@ def test_half_rotation_makes_the_block_exchange_writes(start):
             pairs += [x, x + k]
         assert a.writes == pairs, k
         assert list(a) == swapped, k
+
+
+@pytest.mark.parametrize("start", [0, 3])
+def test_writes_follow_the_gcd_cycles(start):
+    # rotating n items by r > 0 has g = gcd(n, r) cycles; the one from s
+    # writes s, s + r, s + 2r, ... (mod n), and the cycles run for s = 0 .. g-1
+    for n in range(40):
+        for r in range(max(1, n)):
+            a = RecordingList(range(start + n + 2))
+            rotate_left(a, r, start, n)
+            g = math.gcd(n, r)
+            cycles = [
+                start + (s + t * r) % n for s in range(g) for t in range(n // g)
+            ]
+            assert a.writes == (cycles if r else []), (n, r)
+            span = rotated_copy(list(range(start, start + n)), r)
+            assert list(a) == [*range(start), *span, start + n, start + n + 1]
 
 
 def test_matches_oracle_small_exhaustive():
