@@ -23,6 +23,8 @@ writes.  Only a caller's gauge runs the timers.
 ``_merge_lt`` builds each index once, from ``mid`` and ``p = mid - 1``: an
 int above 256 is a heap object, and each addition allocates one.  The nodes
 zero their ints before they recurse, and ``p`` before a looped exchange.
+A slice exchange, the sort's peak, holds three ints beside its three 16-slot
+arrays: the chunk start, its end and ``y``, which starts as ``mid`` itself.
 """
 
 from __future__ import annotations
@@ -326,17 +328,22 @@ def _merge_lt(a: MutableSequence[Any], lo: int, mid: int, hi: int) -> None:
             a[p], a[mid + 2] = a[mid + 2], a[p]
         else:
             p = 0  # an int held across the slices adds 32 B to a sort's peak
-            s = mid - k
+            x = mid - k
             if k >= 16 and type(a) is list and mid + k <= len(a):
-                # only full slices of 16: a shrunk list takes the loop, raising
-                s = mid - k % 16
-                for x in range(mid - k, s, 16):
-                    y = x + k
-                    a[x:x + 16], a[y:y + 16] = a[y:y + 16], a[x:x + 16]
-            for x in range(s, mid):
+                # only full slices of 16: a shrunk list takes the loop, raising.
+                # A swap's first store holds three 16-slot arrays, the peak,
+                # and three ints: x, its end e and y, at first mid itself
+                y = mid
+                e = x + 16
+                while e <= mid:
+                    a[x:e], a[y:y + 16] = a[y:y + 16], a[x:e]
+                    x = e
+                    e += 16
+                    y += 16
+            for x in range(x, mid):
                 y = x + k
                 a[x], a[y] = a[y], a[x]
-            x = y = s = 0
+            x = y = e = 0
         if n1 <= n2:
             if k < n1:
                 n1 = n2 = p = 0

@@ -202,10 +202,10 @@ def test_default_comparator_sort_of_an_exact_list_matches_the_instrumented_sort(
     assert_sorts_match(generate(n, dist, 12), list)
 
 
-def reversed_sort_peaks(sort):
-    # the tracemalloc peak of sort(a) over reversed floats, n = 2^10 .. 2^16
+def reversed_sort_peaks(sort, exponents=range(10, 17)):
+    # the tracemalloc peak of sort(a) over reversed floats, n = 2^e
     peaks = []
-    for e in range(10, 17):
+    for e in exponents:
         a = [float(x) for x in range(2**e, 0, -1)]
         tracemalloc.start()
         try:
@@ -224,6 +224,15 @@ def test_default_comparator_sort_peak_grows_slowly_with_n():
     # down as bounds add at most two of them per doubling of n
     peaks = reversed_sort_peaks(mergesort)
     assert max(b - a for a, b in zip(peaks, peaks[1:])) <= 64, peaks
+
+
+def test_default_comparator_sort_peak_is_one_slice_exchange_at_small_n():
+    # up to n = 256 every index is a cached small int, so an exact list's
+    # peak is a slice swap's three 16-slot arrays (384 B), plus 24 B when
+    # the sort's clock float finds the float free list empty.  An int (32 B)
+    # or a range iterator (48 B) held across the swap would show here
+    peaks = reversed_sort_peaks(mergesort, (6, 7, 8))
+    assert max(peaks) <= 3 * 16 * 8 + 24, peaks
 
 
 def test_counted_sort_peak_grows_slowly_with_n():
