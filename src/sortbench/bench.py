@@ -13,7 +13,7 @@ import json
 import math
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import cmp_to_key
 from statistics import median_low
 from typing import Any, Callable, Sequence
@@ -85,6 +85,7 @@ class BenchRecord:
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(BenchRecord))
+_REQUIRED_COLUMNS = tuple(f.name for f in fields(BenchRecord) if f.default is MISSING)
 # how a CSV cell reads back, by column; algo and dist stay text
 _CSV_PARSE: dict[str, Callable[[str], Any]] = {
     **dict.fromkeys(("n", "seed", "comparisons", "moves", "max_depth"), int),
@@ -202,13 +203,13 @@ def _run_once(config: BenchConfig, rep: int, rep_seed: int) -> BenchRecord:
 
 
 def _median_summary(records: list[BenchRecord]) -> BenchRecord:
-    # a field is summarized only when every rep measured it
+    # a field is summarized only when every rep measured it; run_benchmark
+    # passes only verified records
     medians = {}
     for name in _MEDIAN_FIELDS:
         values = [getattr(r, name) for r in records]
         medians[name] = None if None in values else median_low(values)
-    verified = all(r.verified for r in records)
-    return replace(records[0], rep="median", verified=verified, **medians)
+    return replace(records[0], rep="median", **medians)
 
 
 def geometric_sizes(n_min: int, n_max: int, steps: int) -> list[int]:
@@ -280,13 +281,14 @@ def emit_report(records: Sequence[BenchRecord], output_format: str) -> str:
 
 
 def parse_report(text: str, output_format: str) -> list[BenchRecord]:
-    """Parse a report produced by :func:`emit_report` back into records."""
+    """Parse a report produced by :func:`emit_report` back into records.
+    An unknown column, or a required one without a value, raises ValueError."""
     if output_format == "json":
-        return [BenchRecord(**obj) for obj in json.loads(text)]
+        return [_record(obj) for obj in json.loads(text)]
     if output_format == "csv":
         return [
-            BenchRecord(
-                **{
+            _record(
+                {
                     column: _CSV_PARSE.get(column, str)(cell) if cell else None
                     for column, cell in row.items()
                 }
@@ -294,3 +296,13 @@ def parse_report(text: str, output_format: str) -> list[BenchRecord]:
             for row in csv.DictReader(io.StringIO(text))
         ]
     raise ValueError(f"unknown format {output_format!r}")
+
+
+def _record(values: dict[str, Any]) -> BenchRecord:
+    for column in values:
+        if column not in CSV_COLUMNS:
+            raise ValueError(f"unknown column {column!r} in report")
+    for column in _REQUIRED_COLUMNS:
+        if values.get(column) is None:
+            raise ValueError(f"no {column!r} value in a report row")
+    return BenchRecord(**values)

@@ -1,30 +1,18 @@
 """Merging two adjacent sorted runs inside one sequence.
 
-:func:`merge_buffered` is the classic merge through a buffer as long as the
-first run.  :func:`merge_inplace` needs no buffer: O(n) comparisons, O(n log
-n) moves, and a depth kept logarithmic by recursing into the smaller half.
-Both give the same stable output on any mutable sequence, reading and
-writing single items; only ``_merge_lt`` swaps 16 or more pairs in an exact
-``list`` by slices of 16 (a list subclass may log single writes; a numpy
-array's slices are views that would alias).  A raising comparator leaves a
-permutation; a resizing one gets a ValueError.
-
 The in-place node runs the paper's bidirectional co-rank search inline
 (``tests/helpers.paper_co_rank``), not the lower bound of :mod:`coranking`,
-so its counted work is the paper's.  Its two twins run over bounds ``lo,
-mid, hi`` that a child shares with its parent, and make the same decisions:
-``_merge_inplace`` takes a predicate and optional :class:`PhaseTimes` and
-returns its depth; ``_merge_lt`` asks the elements' own ``<``, runs exactly
-when the predicate is ``operator.lt`` and no gauge is given, and writes the
-search for a shorter run of 2 and exchanges of 2 or 3 pairs as straight-line
-code.  ``tests/test_merge.py`` pins the twins to the same comparisons and
-writes.  Only a caller's gauge runs the timers.
+so its counted work is the paper's.  It has two twins, which
+``tests/test_merge.py`` pins to the same comparisons and writes:
+``_merge_inplace`` serves a comparator of the caller's or an observer, and
+``_merge_lt`` asks the elements' own ``<`` and carries no observer, so that
+an unobserved merge pays for neither.  Only ``_merge_lt`` swaps by slices,
+and only in an exact ``list``: a list subclass may log single writes, and a
+numpy array's slices are views that would alias.
 
 ``_merge_lt`` builds each index once, from ``mid`` and ``p = mid - 1``: an
 int above 256 is a heap object, and each addition allocates one.  The nodes
-zero their ints before they recurse, and ``p`` before a looped exchange.
-A slice exchange, the sort's peak, holds three ints beside its three 16-slot
-arrays: the chunk start, its end and ``y``, which starts as ``mid`` itself.
+zero their ints before they recurse, so the frames on the stack hold none.
 """
 
 from __future__ import annotations
@@ -53,27 +41,32 @@ class MergeDepthGauge:
 PhaseTimes = MergeDepthGauge
 
 
-def _check_length(seq: MutableSequence[Any], n: int) -> None:
-    # a comparator that resizes the sequence leaves every index stale
-    if len(seq) != n:
-        raise ValueError(f"sequence resized from {n} to {len(seq)} items")
-
-
-def _run_merge(
-    seq: MutableSequence[Any], n1: int, n2: int, start: int, node: Any, *args: Any
-) -> Any:
-    n = len(seq)
-    if n1 < 0 or n2 < 0 or start < 0 or start + n1 + n2 > n:
+def _runs(
+    seq: MutableSequence[Any], n1: int, n2: int, start: int
+) -> tuple[int, int, int]:
+    # the bounds lo, mid, hi of two adjacent runs that must fit seq
+    if n1 < 0 or n2 < 0 or start < 0 or start + n1 + n2 > len(seq):
         raise ValueError(
             f"runs of {n1} and {n2} items at {start} do not fit a sequence of "
-            f"{n} items"
+            f"{len(seq)} items"
         )
+    return start, start + n1, start + n1 + n2
+
+
+def _guarded(seq: MutableSequence[Any], n: int, run: Any, *args: Any) -> Any:
+    # run(seq, *args); with no args, run(seq, 0, n), a sort of all of seq,
+    # which builds no argument tuple: one held across an unobserved sort
+    # adds 64 B to its peak when the tuple free list is empty.  A comparator
+    # that resizes seq leaves every index stale: a resize raises ValueError,
+    # also after a stale index has raised IndexError
     try:
-        result = node(seq, start, start + n1, start + n1 + n2, *args)
+        result = run(seq, *args) if args else run(seq, 0, n)
     except IndexError:
-        _check_length(seq, n)
-        raise
-    _check_length(seq, n)
+        if len(seq) == n:
+            raise
+        result = None
+    if len(seq) != n:
+        raise ValueError(f"sequence resized from {n} to {len(seq)} items")
     return result
 
 
@@ -91,12 +84,9 @@ def merge_buffered(
     propagates.  Equal keys keep first-run elements ahead of second-run
     elements; a second-run tail already in place is not written.
     """
-
-    def node(*span: Any) -> int:
-        # the buffer is built only once _run_merge has checked the runs
-        return _merge_buffered(*span, [None] * n1)
-
-    _run_merge(seq, n1, n2, start, node, as_less(compare))
+    lo, mid, hi = _runs(seq, n1, n2, start)
+    less = as_less(compare)
+    _guarded(seq, len(seq), _merge_buffered, lo, mid, hi, less, [None] * n1)
 
 
 def _merge_buffered(
@@ -151,11 +141,12 @@ def merge_inplace(
     the same input.  ``gauge``, when given, accumulates co-ranking vs
     rotation wall time and, if the merge completes, keeps its peak depth.
     """
+    lo, mid, hi = _runs(seq, n1, n2, start)
     less = as_less(compare)
     if less is operator.lt and gauge is None:
-        _run_merge(seq, n1, n2, start, _merge_lt)
+        _guarded(seq, len(seq), _merge_lt, lo, mid, hi)
     else:
-        depth = _run_merge(seq, n1, n2, start, _merge_inplace, less, gauge)
+        depth = _guarded(seq, len(seq), _merge_inplace, lo, mid, hi, less, gauge)
         if gauge is not None and depth > gauge.peak:
             gauge.peak = depth
 
@@ -366,7 +357,8 @@ def count_inplace_merge_comparisons(
     """Run :func:`merge_inplace`'s instrumented node, counting each
     comparison, and return the number of comparator invocations.  The
     acceptance suite counts a merge's comparisons with it."""
+    lo, mid, hi = _runs(seq, n1, n2, start)
     stats = SortStats()
     less = counting_comparator(as_less(compare), stats)
-    _run_merge(seq, n1, n2, start, _merge_inplace, less, None)
+    _guarded(seq, len(seq), _merge_inplace, lo, mid, hi, less, None)
     return stats.comparisons

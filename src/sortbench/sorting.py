@@ -1,24 +1,10 @@
-"""Top-down mergesort drivers, parameterized by merge strategy.
+"""Top-down mergesort over the merge nodes of :mod:`merge`.
 
-Both strategies split at ``mid = n // 2`` on every level and produce
-identical, stable output; they differ only in how adjacent runs are merged:
-
-* ``MergeStrategy.BUFFERED``: classic mergesort and its one second array,
-  an n-slot scratch buffer allocated once per sort and reused by every
-  merge; a merge leaves the second run's tail where it already is.
-* ``MergeStrategy.INPLACE``: no scratch buffer; extra space is the O(log n)
-  recursion bookkeeping and, in an exact list, three 16-slot slice arrays.
-
-No small-array cutoff to another sort: these are deliberately plain
-implementations so measured comparison counts reflect the algorithms
-themselves.  One driver, ``_sort``, runs a BUFFERED sort over
-``merge._merge_buffered``, and an in-place sort with a comparator or an
-observer over ``merge._merge_inplace``, which returns its depth and runs its
-timers only for a caller's ``phases``.  The default comparator with no
-observer runs the driver's twin ``_sort_lt`` over ``merge._merge_lt``, which
-compares with the elements' own ``<`` and sorts a two-element half inline with
-the calls of ``merge(1, 1)``, and a block of four with those of two such
-halves and ``merge(2, 2)``: that halves the driver's ``_merge_lt`` calls.
+There is no small-array cutoff to another sort: the drivers are plain on
+purpose, so that measured comparison counts reflect the algorithms
+themselves.  ``_sort`` runs a buffered sort, and an in-place sort with a
+comparator or an observer; an unobserved in-place sort with the default
+comparator runs its twin ``_sort_lt`` (the :mod:`merge` docstring says why).
 """
 
 from __future__ import annotations
@@ -30,8 +16,7 @@ from typing import Any, Callable, MutableSequence
 
 from .comparator import Comparator, Less, as_less, default_compare
 from .instrumentation import SortStats, counting_comparator
-from .merge import PhaseTimes, _check_length, _merge_buffered
-from .merge import _merge_inplace, _merge_lt
+from .merge import PhaseTimes, _guarded, _merge_buffered, _merge_inplace, _merge_lt
 
 
 class MergeStrategy(Enum):
@@ -62,26 +47,20 @@ def mergesort(
     less = as_less(compare)
     if stats is not None:
         less = counting_comparator(less, stats)
-    moves_before = getattr(seq, "move_count", 0)
+        moves_before = getattr(seq, "move_count", 0)
+        t0 = perf_counter()
     peak = 0
-    t0 = perf_counter()
-    try:
-        if n > 1:
-            if strategy is MergeStrategy.BUFFERED:
-                _sort(seq, 0, n, _merge_buffered, less, [None] * n)
-            elif less is operator.lt and phases is None:
-                _sort_lt(seq, 0, n)
-            else:
-                peak = _sort(seq, 0, n, _merge_inplace, less, phases)
-    except IndexError:
-        _check_length(seq, n)
-        raise
-    elapsed = perf_counter() - t0
-    _check_length(seq, n)
+    if n > 1:
+        if strategy is MergeStrategy.BUFFERED:
+            _guarded(seq, n, _sort, 0, n, _merge_buffered, less, [None] * n)
+        elif less is operator.lt and phases is None:
+            _guarded(seq, n, _sort_lt)
+        else:
+            peak = _guarded(seq, n, _sort, 0, n, _merge_inplace, less, phases)
     if phases is not None and peak > phases.peak:
         phases.peak = peak
     if stats is not None:
-        stats.wall_seconds = elapsed
+        stats.wall_seconds = perf_counter() - t0
         stats.max_merge_depth = peak
         stats.moves = getattr(seq, "move_count", 0) - moves_before
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -150,6 +151,68 @@ def test_bad_fit_input_reports_usage_error(tmp_path, capsys):
     )
     assert code == 2
     assert "error" in err
+
+
+COUNTED_CSV = (
+    "algo,n,dist,seed,rep,seconds,comparisons,moves,max_depth,verified,"
+    "corank_seconds,rotation_seconds\n"
+    "buffered,256,uniform,42,median,0.001,1700,2048,,true,,\n"
+    "buffered,512,uniform,42,median,0.002,3900,4608,,true,,\n"
+)
+
+
+def _csv_without(column):
+    # the column dropped from the header and from every row
+    def edit(text):
+        lines = [line.split(",") for line in text.splitlines()]
+        at = lines[0].index(column)
+        return "".join(",".join(c[:at] + c[at + 1 :]) + "\n" for c in lines)
+
+    return edit
+
+
+def _csv_blank(column):
+    # the column's cell emptied in the first row
+    def edit(text):
+        lines = [line.split(",") for line in text.splitlines()]
+        lines[1][lines[0].index(column)] = ""
+        return "".join(",".join(c) + "\n" for c in lines)
+
+    return edit
+
+
+def _json_without(field):
+    def edit(text):
+        entries = parse_report(text, "csv")
+        objs = [dataclasses.asdict(r) for r in entries]
+        del objs[0][field]
+        return json.dumps(objs)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, column",
+    [
+        (lambda text: text.replace(",moves,", ",writes,", 1), "writes"),
+        (_csv_without("n"), "n"),
+        (_csv_blank("n"), "n"),
+        (_csv_blank("seconds"), "seconds"),
+        (_json_without("seconds"), "seconds"),
+    ],
+    ids=["unknown column", "missing column", "empty n", "empty seconds", "json entry"],
+)
+def test_fit_of_a_malformed_report_names_the_column(tmp_path, capsys, edit, column):
+    # a report with a column fit cannot map, or without a value every record
+    # has, is a usage error that names the column, not a TypeError
+    report = tmp_path / "report.txt"
+    report.write_text(edit(COUNTED_CSV))
+    code, out, err = run_cli(
+        capsys,
+        "fit", "--input", str(report), "--column", "comparisons", "--model", "nlogn",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and f"{column!r}" in err, err
 
 
 def test_fit_refuses_rows_without_comparisons(tmp_path, capsys):

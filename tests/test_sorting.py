@@ -2,10 +2,13 @@ import array
 import collections
 import itertools
 import math
+import os
 import random
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -226,13 +229,39 @@ def test_default_comparator_sort_peak_grows_slowly_with_n():
     assert max(b - a for a, b in zip(peaks, peaks[1:])) <= 64, peaks
 
 
+# a fresh interpreter's first sort, of reversed floats, n = argv[1]: its
+# tracemalloc peak, and whether the list ends sorted
+FIRST_SORT_PEAK = """
+import sys, tracemalloc
+from sortbench import mergesort
+
+def peak(a):
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    mergesort(a)
+    return tracemalloc.get_traced_memory()[1] - base
+
+a = [float(x) for x in range(int(sys.argv[1]), 0, -1)]
+print(peak(a), a == sorted(a))
+"""
+
+
 def test_default_comparator_sort_peak_is_one_slice_exchange_at_small_n():
     # up to n = 256 every index is a cached small int, so an exact list's
-    # peak is a slice swap's three 16-slot arrays (384 B), plus 24 B when
-    # the sort's clock float finds the float free list empty.  An int (32 B)
-    # or a range iterator (48 B) held across the swap would show here
-    peaks = reversed_sort_peaks(mergesort, (6, 7, 8))
-    assert max(peaks) <= 3 * 16 * 8 + 24, peaks
+    # peak is a slice swap's three 16-slot arrays (384 B).  A fresh
+    # interpreter's first sort finds the float free list empty, so a clock
+    # reading (24 B) held across it would show, as would an int (32 B) or a
+    # range iterator (48 B)
+    env = {**os.environ, "PYTHONPATH": str(Path(sorting_mod.__file__).parents[1])}
+    for n in (64, 128, 256):
+        result = subprocess.run(
+            [sys.executable, "-c", FIRST_SORT_PEAK, str(n)],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout.split() == [str(3 * 16 * 8), "True"], (n, result.stdout)
 
 
 def test_counted_sort_peak_grows_slowly_with_n():
@@ -663,15 +692,20 @@ def _halves(a):
     return len(a) // 2, len(a) - len(a) // 2
 
 
-# the entry points that must notice a resized sequence; the "<" ones pass
-# the default comparator, so the elements' own < asks the comparator
+# the entry points that must notice a resized sequence; the "<", stats and
+# phases ones pass the default comparator, so the elements' own < asks it
 RESIZE_CHECKED = {
     "buffered sort": lambda a, compare: mergesort(a, compare, MergeStrategy.BUFFERED),
     "inplace sort": lambda a, compare: mergesort(a, compare),
     "inplace sort, <": lambda a, compare: mergesort(a),
+    "inplace sort, stats": lambda a, compare: mergesort(a, stats=SortStats()),
+    "inplace sort, phases": lambda a, compare: mergesort(a, phases=PhaseTimes()),
     "buffered merge": lambda a, compare: merge_buffered(a, *_halves(a), compare),
     "inplace merge": lambda a, compare: merge_inplace(a, *_halves(a), compare),
     "inplace merge, <": lambda a, compare: merge_inplace(a, *_halves(a)),
+    "counted inplace merge": lambda a, compare: count_inplace_merge_comparisons(
+        a, *_halves(a), compare
+    ),
 }
 
 
