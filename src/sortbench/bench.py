@@ -52,6 +52,10 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if self.attribute_phases and self.algorithm != "inplace":
+            raise ValueError(
+                f"--attribute-phases needs --algo inplace, not {self.algorithm}"
+            )
         if self.n < 0:
             raise ValueError("n must be nonnegative")
         if self.reps < 1:
@@ -62,12 +66,14 @@ class BenchConfig:
 class BenchRecord:
     """One measured run (or the median summary row of a rep group).
 
-    A field is ``None`` (an empty CSV cell, JSON ``null``) when the run did
+    The fields are a report's columns, in order.  A field that defaults to
+    ``None`` is ``None`` (an empty CSV cell, JSON ``null``) when the run did
     not measure it.  ``comparisons`` is measured in count mode; ``moves``
     too, except for ``system`` (``list.sort`` writes past the counting
     list); ``max_depth`` only for ``inplace`` in count mode;
-    ``corank_seconds``/``rotation_seconds`` only for ``inplace`` in
-    phase-attribution mode.
+    ``corank_seconds``/``rotation_seconds`` in phase-attribution mode, which
+    only ``inplace`` accepts.  A summary row holds the median of
+    ``seconds`` and of each of these fields.
     """
 
     algo: str
@@ -86,21 +92,16 @@ class BenchRecord:
 
 CSV_COLUMNS = tuple(f.name for f in fields(BenchRecord))
 _REQUIRED_COLUMNS = tuple(f.name for f in fields(BenchRecord) if f.default is MISSING)
-# how a CSV cell reads back, by column; algo and dist stay text
+# how a report cell reads back, by column; algo and dist stay text
 _CSV_PARSE: dict[str, Callable[[str], Any]] = {
     **dict.fromkeys(("n", "seed", "comparisons", "moves", "max_depth"), int),
     **dict.fromkeys(("seconds", "corank_seconds", "rotation_seconds"), float),
     "rep": lambda text: text if text == "median" else int(text),
     "verified": lambda text: text == "true",
 }
-# summary rows take the median of every measured quantity
 _MEDIAN_FIELDS = (
     "seconds",
-    "comparisons",
-    "moves",
-    "max_depth",
-    "corank_seconds",
-    "rotation_seconds",
+    *(f.name for f in fields(BenchRecord) if f.default is None),
 )
 
 
@@ -157,11 +158,7 @@ def _run_once(config: BenchConfig, rep: int, rep_seed: int) -> BenchRecord:
         MoveCountingList(original) if config.count_mode else list(original)
     )
     stats = SortStats() if config.count_mode else None
-    phases = (
-        PhaseTimes()
-        if config.attribute_phases and config.algorithm == "inplace"
-        else None
-    )
+    phases = PhaseTimes() if config.attribute_phases else None
 
     t0 = time.perf_counter()
     if config.algorithm == "system":
@@ -280,29 +277,30 @@ def emit_report(records: Sequence[BenchRecord], output_format: str) -> str:
     raise ValueError(f"unknown format {output_format!r}")
 
 
-def parse_report(text: str, output_format: str) -> list[BenchRecord]:
-    """Parse a report produced by :func:`emit_report` back into records.
-    An unknown column, or a required one without a value, raises ValueError."""
-    if output_format == "json":
-        return [_record(obj) for obj in json.loads(text)]
-    if output_format == "csv":
-        return [
-            _record(
-                {
-                    column: _CSV_PARSE.get(column, str)(cell) if cell else None
-                    for column, cell in row.items()
-                }
-            )
-            for row in csv.DictReader(io.StringIO(text))
-        ]
-    raise ValueError(f"unknown format {output_format!r}")
+def parse_report(text: str) -> list[BenchRecord]:
+    """Parse a report produced by :func:`emit_report` back into records:
+    JSON when its first non-blank character is ``[``, else CSV.  Each JSON
+    value reads back as its CSV cell.  An unknown column, a required one
+    without a value, or a value that does not parse raises ValueError."""
+    if not text.lstrip().startswith("["):
+        return [_record(row) for row in csv.DictReader(io.StringIO(text))]
+    objs = json.loads(text)
+    if not all(isinstance(obj, dict) for obj in objs):
+        raise ValueError("a JSON report is an array of objects")
+    return [_record({key: _cell(value) for key, value in obj.items()}) for obj in objs]
 
 
-def _record(values: dict[str, Any]) -> BenchRecord:
-    for column in values:
+def _record(row: dict[str, str | None]) -> BenchRecord:
+    values = {}
+    for column, cell in row.items():
         if column not in CSV_COLUMNS:
             raise ValueError(f"unknown column {column!r} in report")
+        if cell:
+            try:
+                values[column] = _CSV_PARSE.get(column, str)(cell)
+            except ValueError:
+                raise ValueError(f"{column!r} value {cell!r} in report") from None
     for column in _REQUIRED_COLUMNS:
-        if values.get(column) is None:
+        if column not in values:
             raise ValueError(f"no {column!r} value in a report row")
     return BenchRecord(**values)

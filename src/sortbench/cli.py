@@ -98,8 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args: argparse.Namespace, n: int, tagged: bool = False) -> BenchConfig:
-    if getattr(args, "attribute_phases", False) and args.algo != "inplace":
-        raise ValueError(f"--attribute-phases needs --algo inplace, not {args.algo}")
     return BenchConfig(
         algorithm=args.algo,
         n=n,
@@ -141,10 +139,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 
 def _cmd_fit(args: argparse.Namespace) -> None:
     with open(args.input, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    # a JSON report is an array; a CSV report starts with its header row
-    fmt = "json" if text.lstrip().startswith("[") else "csv"
-    records = parse_report(text, fmt)
+        records = parse_report(fh.read())
     # fits use median summary rows when present, and only verified runs
     medians = [r for r in records if r.rep == "median" and r.verified]
     rows = medians if medians else [r for r in records if r.verified]

@@ -19,7 +19,7 @@ def test_run_emits_csv(capsys):
         capsys, "run", "--n", "500", "--seed", "3", "--reps", "2", "--count"
     )
     assert code == 0
-    records = parse_report(out, "csv")
+    records = parse_report(out)
     assert len(records) == 3  # 2 reps + median
     assert {r.rep for r in records} == {0, 1, "median"}
     assert all(r.verified for r in records)
@@ -35,7 +35,7 @@ def test_run_writes_json_file(tmp_path, capsys):
     )
     assert code == 0
     assert out == ""
-    records = parse_report(out_file.read_text(), "json")
+    records = parse_report(out_file.read_text())
     assert records[0].algo == "buffered"
     assert records[0].dist == "fewdistinct(3)"
 
@@ -46,7 +46,7 @@ def test_sweep_ladder(capsys):
         "sweep", "--n-min", "64", "--n-max", "512", "--steps", "3", "--count",
     )
     assert code == 0
-    records = parse_report(out, "csv")
+    records = parse_report(out)
     assert sorted({r.n for r in records}) == [64, 181, 512]
 
 
@@ -171,40 +171,50 @@ def _csv_without(column):
     return edit
 
 
-def _csv_blank(column):
-    # the column's cell emptied in the first row
+def _csv_set(column, cell):
+    # the column's cell in the first row replaced by cell
     def edit(text):
         lines = [line.split(",") for line in text.splitlines()]
-        lines[1][lines[0].index(column)] = ""
+        lines[1][lines[0].index(column)] = cell
         return "".join(",".join(c) + "\n" for c in lines)
 
     return edit
 
 
-def _json_without(field):
+def _json_first(change):
+    # the report as a JSON array whose first entry change(entry) edits
     def edit(text):
-        entries = parse_report(text, "csv")
-        objs = [dataclasses.asdict(r) for r in entries]
-        del objs[0][field]
+        objs = [dataclasses.asdict(r) for r in parse_report(text)]
+        change(objs[0])
         return json.dumps(objs)
 
     return edit
 
 
 @pytest.mark.parametrize(
-    "edit, column",
+    "edit, named",
     [
-        (lambda text: text.replace(",moves,", ",writes,", 1), "writes"),
-        (_csv_without("n"), "n"),
-        (_csv_blank("n"), "n"),
-        (_csv_blank("seconds"), "seconds"),
-        (_json_without("seconds"), "seconds"),
+        (lambda text: text.replace(",moves,", ",writes,", 1), "'writes'"),
+        (_csv_without("n"), "'n'"),
+        (_csv_set("n", ""), "'n'"),
+        (_csv_set("seconds", ""), "'seconds'"),
+        (_csv_set("n", "abc"), "'n'"),
+        (_json_first(lambda obj: obj.pop("seconds")), "'seconds'"),
+        (_json_first(lambda obj: obj.update(n="abc")), "'n'"),
+        (_json_first(lambda obj: obj.update(n=256.5)), "'n'"),
+        (_json_first(lambda obj: obj.update(comparisons=[1])), "'comparisons'"),
+        (lambda text: "[5]", "a JSON report is an array of objects"),
     ],
-    ids=["unknown column", "missing column", "empty n", "empty seconds", "json entry"],
+    ids=[
+        "unknown column", "missing column", "empty n", "empty seconds", "csv n abc",
+        "json entry", "json n abc", "json n 256.5", "json comparisons [1]",
+        "json entry 5",
+    ],
 )
-def test_fit_of_a_malformed_report_names_the_column(tmp_path, capsys, edit, column):
-    # a report with a column fit cannot map, or without a value every record
-    # has, is a usage error that names the column, not a TypeError
+def test_fit_of_a_malformed_report_names_the_column(tmp_path, capsys, edit, named):
+    # a report with a column fit cannot map, without a value every record
+    # has, or with a value that does not parse is a usage error that names
+    # the column, not a TypeError
     report = tmp_path / "report.txt"
     report.write_text(edit(COUNTED_CSV))
     code, out, err = run_cli(
@@ -212,7 +222,7 @@ def test_fit_of_a_malformed_report_names_the_column(tmp_path, capsys, edit, colu
         "fit", "--input", str(report), "--column", "comparisons", "--model", "nlogn",
     )
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and f"{column!r}" in err, err
+    assert err.startswith("error: ") and named in err, err
 
 
 def test_fit_refuses_rows_without_comparisons(tmp_path, capsys):
@@ -329,7 +339,7 @@ def test_observed_runs_say_on_stderr_what_their_seconds_include(
         code, out, err = run_cli(capsys, command, *sizes, *flags, "--format", fmt)
         assert (code, err) == (0, note)
         assert "note" not in out
-        records = parse_report(out, fmt)
+        records = parse_report(out)
         assert all(r.verified for r in records)
         assert out == bench_mod.emit_report(records, fmt)
     report = tmp_path / "report.csv"
