@@ -97,7 +97,7 @@ _CSV_PARSE: dict[str, Callable[[str], Any]] = {
     **dict.fromkeys(("n", "seed", "comparisons", "moves", "max_depth"), int),
     **dict.fromkeys(("seconds", "corank_seconds", "rotation_seconds"), float),
     "rep": lambda text: text if text == "median" else int(text),
-    "verified": lambda text: text == "true",
+    "verified": lambda text: bool(("false", "true").index(text)),
 }
 _MEDIAN_FIELDS = (
     "seconds",

@@ -36,31 +36,31 @@ def co_rank(
     Requires ``0 <= rank <= len(first) + len(second)`` and both inputs sorted
     under ``compare``; raises ValueError for an out-of-range rank.
     """
-    na = len(first)
-    nb = len(second)
-    if not 0 <= rank <= na + nb:
-        raise ValueError(f"rank {rank} not in [0, {na + nb}]")
-    return _co_rank(rank, first, na, second, nb, as_less(compare))
+    if not 0 <= rank <= len(first) + len(second):
+        raise ValueError(f"rank {rank} not in [0, {len(first) + len(second)}]")
+    j = _co_rank(rank, first, second, as_less(compare))
+    return j, rank - j
 
 
-def _co_rank(
-    i: int, a: Sequence[Any], na: int, b: Sequence[Any], nb: int, less: Less
-) -> tuple[int, int]:
-    # Callers pass na = len(a), nb = len(b) (the ints they already hold: a
-    # second len() of a long run allocates two more) and guarantee
-    # 0 <= i <= na + nb.  Lower bound over j in [lo, hi): for lo <= j < hi,
-    # k = i - j lies in [1, nb], so b[i - j - 1] and a[j] both exist.
-    # merge._merge_inplace does not use this search: it runs the paper's
-    # bidirectional co-rank inline, pinned to tests/helpers.paper_co_rank.
-    lo = i - nb if i > nb else 0
-    hi = i if i < na else na
+def _co_rank(i: int, a: Sequence[Any], b: Sequence[Any], less: Less) -> int:
+    # Callers guarantee 0 <= i <= len(a) + len(b) and bind neither length: the
+    # loop never reads one, and above 256 each is an int on the heap, so each
+    # is read once to set the lower bound's range [lo, hi).  There k = i - j
+    # lies in [1, len(b)], so b[i - j - 1] and a[j] exist.  The paper's
+    # bidirectional search runs inline in merge._merge_inplace instead.
+    lo = i - len(b)
+    if lo < 0:
+        lo = 0
+    hi = len(a)
+    if hi > i:
+        hi = i
     while lo < hi:
         j = (lo + hi) >> 1
         if less(b[i - j - 1], a[j]):
             hi = j
         else:
             lo = j + 1
-    return lo, i - lo
+    return lo
 
 
 def select_merged(
@@ -74,15 +74,14 @@ def select_merged(
     Runs in O(log n) comparisons: co-rank the split, then pick whichever head
     element comes next (ties go to ``first``).
     """
-    na = len(first)
-    nb = len(second)
-    if not 0 <= rank < na + nb:
-        raise ValueError(f"rank {rank} not in [0, {na + nb})")
+    if not 0 <= rank < len(first) + len(second):
+        raise ValueError(f"rank {rank} not in [0, {len(first) + len(second)})")
     less = as_less(compare)
-    j, k = _co_rank(rank, first, na, second, nb, less)
-    if j < na and k < nb:
+    j = _co_rank(rank, first, second, less)
+    k = rank - j
+    if j < len(first) and k < len(second):
         return second[k] if less(second[k], first[j]) else first[j]
-    return first[j] if j < na else second[k]
+    return first[j] if j < len(first) else second[k]
 
 
 def co_rank_by_merge(

@@ -204,17 +204,21 @@ def _json_first(change):
         (_json_first(lambda obj: obj.update(n=256.5)), "'n'"),
         (_json_first(lambda obj: obj.update(comparisons=[1])), "'comparisons'"),
         (lambda text: "[5]", "a JSON report is an array of objects"),
+        (_csv_set("verified", "True"), "'verified'"),
+        (_csv_set("verified", "yes"), "'verified'"),
+        (_json_first(lambda obj: obj.update(verified="yes")), "'verified'"),
     ],
     ids=[
         "unknown column", "missing column", "empty n", "empty seconds", "csv n abc",
         "json entry", "json n abc", "json n 256.5", "json comparisons [1]",
-        "json entry 5",
+        "json entry 5", "csv verified True", "csv verified yes", "json verified yes",
     ],
 )
 def test_fit_of_a_malformed_report_names_the_column(tmp_path, capsys, edit, named):
     # a report with a column fit cannot map, without a value every record
-    # has, or with a value that does not parse is a usage error that names
-    # the column, not a TypeError
+    # has, or with a value that does not parse (verified is true or false,
+    # nothing else) is a usage error that names the column, not a TypeError
+    # or rows dropped as unverified
     report = tmp_path / "report.txt"
     report.write_text(edit(COUNTED_CSV))
     code, out, err = run_cli(

@@ -1,9 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import sortbench
 from sortbench.comparator import default_compare
 from sortbench.coranking import co_rank, co_rank_by_merge, select_merged
 from sortbench.instrumentation import SortStats, counting_comparator
@@ -139,6 +144,49 @@ def test_select_merged_enumerates_stable_merge():
         merged = stable_merge_oracle(a, b, key)
         got = [select_merged(i, a, b, key) for i in range(na + nb)]
         assert got == merged
+
+
+# a fresh interpreter's select_merged queries over two sorted runs of argv[1]
+# floats each (evens and odds), in both orders, at ranks on both sides of the
+# first run's length: the largest tracemalloc peak of one query, taken in a
+# function as perfbench's peak_bytes takes it (at module level, each new
+# global name could grow the module's dict inside a query), and whether
+# every answer was right
+SELECT_PEAK = """
+import sys, tracemalloc
+from sortbench import select_merged
+
+def peak(rank, first, second):
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    select_merged(rank, first, second)
+    return tracemalloc.get_traced_memory()[1] - base
+
+n = int(sys.argv[1])
+evens = [float(x) for x in range(0, 2 * n, 2)]
+odds = [float(x) for x in range(1, 2 * n, 2)]
+queries = [(rank, *runs) for runs in ((evens, odds), (odds, evens))
+           for rank in range(0, 2 * n, 61)]
+tracemalloc.start()
+worst = max(peak(*query) for query in queries)
+tracemalloc.stop()
+print(worst, all(select_merged(*query) == query[0] for query in queries))
+"""
+
+
+def test_select_peak_holds_no_run_length():
+    # with runs of 4096 the indices above 256 are heap ints, as with the
+    # benchmark's runs of 2^20, so a query peaks at the search's own ints.
+    # A caller that binds both run lengths across the search reads 248 B
+    env = {**os.environ, "PYTHONPATH": str(Path(sortbench.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", SELECT_PEAK, "4096"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.split() == ["192", "True"], result.stdout
 
 
 sorted_keys = st.lists(st.integers(min_value=0, max_value=5), max_size=24).map(sorted)
